@@ -8,21 +8,13 @@ with both bound families.  Every (workload, algorithm) pair is timed twice —
   seed counting path (one full boolean mask per pattern, one ``mask[:k].sum()`` per
   (pattern, k));
 * **engine** — the engine-backed counter (sibling-batch evaluation, prefix-count
-  representations, cached k-sweep blocks) pinned to the pure-numpy kernels, so
-  ``engine_seconds`` stays comparable to the committed baseline regardless of
-  whether numba happens to be installed;
-* **compiled** (numba machines only) — the same engine on the fused
-  ``@njit(nogil=True)`` kernels (:mod:`repro.core.engine.kernels`), reported per
-  entry as ``compiled_seconds`` / ``compiled_speedup`` (numpy-engine over
-  compiled-engine wall clock) and gated through
-  ``summary.compiled_kernel_min_speedup``.
+  representations, cached k-sweep blocks).
 
-All paths execute the *identical* detector code, so each ratio isolates one
-layer.  Results are written to ``BENCH_engine.json`` at the repository root;
-``benchmarks/check_regression.py`` compares that artifact against the committed
-baseline (``benchmarks/BENCH_engine_baseline.json``) and fails on a >20%
-throughput regression (and, when numba is present, on a compiled-kernel speedup
-below its target on the IterTD k-sweeps).
+Both paths execute the *identical* detector code, so the ratio isolates the
+counting layer.  Results are written to ``BENCH_engine.json`` at the repository
+root; ``benchmarks/check_regression.py`` compares that artifact against the
+committed baseline (``benchmarks/BENCH_engine_baseline.json``) and fails on a
+>20% throughput regression.
 
 Run with::
 
@@ -48,7 +40,6 @@ os.environ.setdefault("MKL_NUM_THREADS", "1")
 import numpy as np
 
 from repro.core.bounds import BoundSpec, paper_default_proportional_bounds
-from repro.core.engine.kernels import NUMBA_AVAILABLE
 from repro.core.engine.naive import NaiveCounter
 from repro.core.pattern_graph import PatternCounter
 from repro.data.synthetic import SyntheticSpec, synthetic_dataset
@@ -61,20 +52,6 @@ DEFAULT_OUTPUT = REPO_ROOT / "BENCH_engine.json"
 
 #: The speedup the engine must show over the naive path on these workloads.
 TARGET_SPEEDUP = 3.0
-
-#: The speedup the compiled kernels must show over the numpy kernels on the
-#: IterTD k-sweeps (only gated on machines where numba is importable).
-COMPILED_TARGET_SPEEDUP = 1.5
-
-
-def _numpy_engine_counter(dataset, ranking):
-    """Engine counter pinned to the numpy kernels (the baseline-stable path)."""
-    return PatternCounter(dataset, ranking, kernel="numpy")
-
-
-def _compiled_engine_counter(dataset, ranking):
-    """Engine counter on the fused numba kernels (numba machines only)."""
-    return PatternCounter(dataset, ranking, kernel="compiled")
 
 #: k range of the Figure 8/9 sweeps.
 K_MIN, K_MAX = 10, 49
@@ -171,23 +148,12 @@ def run_benchmarks(
                 )
                 engine_seconds, engine_report = _time_run(
                     algorithm, dataset, ranking, bound, tau_s, K_MIN, k_hi,
-                    _numpy_engine_counter, repeats, min_seconds,
+                    PatternCounter, repeats, min_seconds,
                 )
                 if engine_report.result != naive_report.result:
                     raise RuntimeError(
                         f"engine/naive result mismatch for {name}/{problem}/{algorithm}"
                     )
-                compiled_seconds = compiled_speedup = None
-                if NUMBA_AVAILABLE:
-                    compiled_seconds, compiled_report = _time_run(
-                        algorithm, dataset, ranking, bound, tau_s, K_MIN, k_hi,
-                        _compiled_engine_counter, repeats, min_seconds,
-                    )
-                    if compiled_report.result != naive_report.result:
-                        raise RuntimeError(
-                            f"compiled/naive result mismatch for {name}/{problem}/{algorithm}"
-                        )
-                    compiled_speedup = engine_seconds / compiled_seconds
                 entries.append(
                     {
                         "workload": name,
@@ -201,8 +167,6 @@ def run_benchmarks(
                         "naive_seconds": naive_seconds,
                         "engine_seconds": engine_seconds,
                         "speedup": naive_seconds / engine_seconds,
-                        "compiled_seconds": compiled_seconds,
-                        "compiled_speedup": compiled_speedup,
                         "nodes_evaluated": engine_report.stats.nodes_evaluated,
                         "batch_evaluations": engine_report.stats.batch_evaluations,
                         "groups_reported": engine_report.result.total_reported(),
@@ -217,14 +181,6 @@ def run_benchmarks(
     # their entries are reported as supplementary context, not gated.
     sweep = [entry["speedup"] for entry in entries if entry["algorithm"] == "IterTD"]
     incremental = [entry["speedup"] for entry in entries if entry["algorithm"] != "IterTD"]
-    # Compiled-kernel gate: same IterTD k-sweep entries (the counting-dominated
-    # workloads), compiled engine vs numpy engine.  None when numba is absent —
-    # the gate only binds on machines that can run the compiled path.
-    compiled_sweep = [
-        entry["compiled_speedup"]
-        for entry in entries
-        if entry["algorithm"] == "IterTD" and entry["compiled_speedup"] is not None
-    ]
     summary = {
         "k_sweep_min_speedup": min(sweep),
         "k_sweep_geometric_mean_speedup": _geomean(sweep),
@@ -232,23 +188,12 @@ def run_benchmarks(
         "incremental_geometric_mean_speedup": _geomean(incremental),
         "target_speedup": TARGET_SPEEDUP,
         "meets_target": min(sweep) >= TARGET_SPEEDUP,
-        "numba_available": NUMBA_AVAILABLE,
-        "compiled_kernel_min_speedup": min(compiled_sweep) if compiled_sweep else None,
-        "compiled_kernel_geometric_mean_speedup": (
-            _geomean(compiled_sweep) if compiled_sweep else None
-        ),
-        "compiled_target_speedup": COMPILED_TARGET_SPEEDUP,
-        "meets_compiled_target": (
-            min(compiled_sweep) >= COMPILED_TARGET_SPEEDUP if compiled_sweep else None
-        ),
     }
     return {
-        "schema_version": 2,
+        "schema_version": 3,
         "description": (
             "Engine vs naive per-pattern counting on the Fig-8/Fig-9 k-range workloads; "
-            "speedup = naive_seconds / engine_seconds on identical detector code "
-            "(engine pinned to numpy kernels); compiled_speedup = engine_seconds / "
-            "compiled_seconds on numba machines"
+            "speedup = naive_seconds / engine_seconds on identical detector code"
         ),
         "parameters": {
             "german_credit_scale": scale,
@@ -285,15 +230,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     args.output.write_text(json.dumps(artifact, indent=2) + "\n")
     for entry in artifact["workloads"]:
-        compiled = (
-            f"  compiled {entry['compiled_seconds']:8.3f}s ({entry['compiled_speedup']:.2f}x)"
-            if entry["compiled_seconds"] is not None
-            else ""
-        )
         print(
             f"{entry['workload']:>14} {entry['problem']:>12} {entry['algorithm']:>12}  "
             f"naive {entry['naive_seconds']:8.3f}s  engine {entry['engine_seconds']:8.3f}s  "
-            f"speedup {entry['speedup']:6.2f}x{compiled}"
+            f"speedup {entry['speedup']:6.2f}x"
         )
     summary = artifact["summary"]
     print(
@@ -301,13 +241,6 @@ def main(argv: list[str] | None = None) -> int:
         f"{summary['k_sweep_geometric_mean_speedup']:.2f}x (target {summary['target_speedup']:.1f}x); "
         f"incremental detectors: min {summary['incremental_min_speedup']:.2f}x"
     )
-    if summary["numba_available"]:
-        print(
-            f"compiled kernels: min {summary['compiled_kernel_min_speedup']:.2f}x over "
-            f"numpy on the IterTD k-sweeps (target {summary['compiled_target_speedup']:.1f}x)"
-        )
-    else:
-        print("numba not importable: compiled-kernel dimension skipped (numpy fallback measured)")
     print(f"wrote {args.output}")
     return 0 if summary["meets_target"] else 1
 

@@ -1,25 +1,21 @@
-"""Row-scaling benchmark for the sharded lattice search (process and thread backends).
+"""Row-scaling benchmark for the sharded lattice search over the process pool.
 
-Sweeps synthetic datasets across row counts, attribute counts, worker counts *and
-sharding backends*, timing one full engine-backed detection per combination end to
-end — counter construction, executor setup (shared-memory publication + pool spawn
-for ``backend="process"``, a thread pool for ``backend="thread"``), search, merge —
-so ``rows_per_second`` reflects what a caller actually observes.  For every
-(rows, attributes) instance the single-worker serial run is the baseline:
+Sweeps synthetic datasets across row counts, attribute counts and worker counts,
+timing one full engine-backed detection per combination end to end — counter
+construction, executor setup (shared-memory publication + pool spawn), search,
+merge — so ``rows_per_second`` reflects what a caller actually observes.  For
+every (rows, attributes) instance the single-worker serial run is the baseline:
 
-* ``speedup``    = ``seconds(workers=1) / seconds(workers=w, backend=b)``
+* ``speedup``    = ``seconds(workers=1) / seconds(workers=w)``
 * ``efficiency`` = ``speedup / w`` (1.0 = perfect linear scaling)
 * ``cpu_ratio``  = ``cpu_seconds(entry) / cpu_seconds(workers=1)`` — total CPU
   (self + reaped children, via ``os.times``) relative to serial.  The shards
-  partition the search tree, so total CPU must stay near parity regardless of
-  backend or core count; on a 1-core box this is the scaling property that *can*
-  be gated (wall-clock speedup is physically capped), and
-  ``check_regression.py`` gates it for the thread backend.
+  partition the search tree, so total CPU stays near parity regardless of core
+  count; anything above it is coordination overhead.
 
 Every entry also records the executor-lifecycle counters (``shm_publishes``,
-``pool_spawns``, ``thread_pool_spawns``): thread-backend entries must show zero
-shared-memory publications and zero process spawns — the backend's reason to
-exist — and the regression checker enforces exactly that.
+``pool_spawns``) and ``parallel_fallback``, so a run that silently fell back to
+the serial path is visible in the artifact.
 
 Results are written to ``BENCH_scaling.json`` at the repository root together with
 the machine's ``cpu_count``: parallel wall-clock speedup is physically bounded by
@@ -31,8 +27,7 @@ Run with::
 
     PYTHONPATH=src python benchmarks/bench_scaling_rows.py
     PYTHONPATH=src python benchmarks/bench_scaling_rows.py \
-        --rows 10000,100000 --attributes 5,10 --workers 1,2 \
-        --backends process,thread --repeats 2
+        --rows 10000,100000 --attributes 5,10 --workers 1,2 --repeats 2
 """
 
 from __future__ import annotations
@@ -71,17 +66,6 @@ TARGET_WORKERS = 4
 DEFAULT_ROWS = (10_000, 100_000, 1_000_000)
 DEFAULT_ATTRIBUTES = (5, 10, 15)
 DEFAULT_WORKERS = (1, 2, 4)
-DEFAULT_BACKENDS = ("process", "thread")
-
-#: Maximum tolerated total-CPU overhead of the thread backend over serial
-#: (``cpu_ratio`` gate; the shards do the same counting work, so total CPU may
-#: only grow by coordination overhead).
-CPU_PARITY_TOLERANCE = 0.35
-
-#: Entries whose serial baseline burns less CPU than this are excluded from the
-#: parity gate (their ratio measures constant pool-setup overhead against a
-#: near-zero denominator, not scaling behaviour); they stay in the artifact.
-CPU_PARITY_MIN_SECONDS = 0.5
 
 #: k range of the per-instance sweep (IterTD runs one full search per k, which is
 #: exactly the fan-out-heavy workload the executor shards).
@@ -127,15 +111,15 @@ def _total_cpu_seconds() -> float:
 
 
 def _time_detection(detector_class, dataset, ranking, bound, tau_s, k_min, k_max,
-                    workers: int, backend: str, repeats: int) -> tuple[float, float, object]:
-    """Best-of-``repeats`` end-to-end detection at the given worker count/backend.
+                    workers: int, repeats: int) -> tuple[float, float, object]:
+    """Best-of-``repeats`` end-to-end detection at the given worker count.
 
     Returns ``(wall_seconds, cpu_seconds, report)`` with ``cpu_seconds`` taken
     from the same run that produced the best wall clock.  Process-pool children
     are reaped when ``detect`` closes its executor, so their CPU is visible to
     ``os.times`` by the time the after-measurement is taken.
     """
-    execution = ExecutionConfig(workers=workers, backend=backend)
+    execution = ExecutionConfig(workers=workers)
     detector = detector_class(
         bound=bound, tau_s=tau_s, k_min=k_min, k_max=k_max, execution=execution
     )
@@ -158,7 +142,6 @@ def run_benchmarks(
     rows_list: tuple[int, ...] = DEFAULT_ROWS,
     attribute_list: tuple[int, ...] = DEFAULT_ATTRIBUTES,
     worker_list: tuple[int, ...] = DEFAULT_WORKERS,
-    backend_list: tuple[str, ...] = DEFAULT_BACKENDS,
     algorithm: str = "IterTD",
     problem: str = "global",
     k_min: int = K_MIN,
@@ -166,7 +149,7 @@ def run_benchmarks(
     repeats: int = 1,
     verbose: bool = False,
 ) -> dict:
-    """Measure every (rows, attributes, workers, backend) combination."""
+    """Measure every (rows, attributes, workers) combination."""
     detector_class = ALGORITHMS[algorithm]
     # The serial run is the baseline for every other worker count, so it must
     # come first regardless of how the list was given (e.g. --workers 4,1).
@@ -180,87 +163,71 @@ def run_benchmarks(
             baseline_cpu = None
             reference_result = None
             for workers in worker_list:
-                # workers=1 takes the serial path no matter the backend, so it
-                # is measured once and labelled accordingly.
-                backends = ("serial",) if workers == 1 else backend_list
-                for backend in backends:
-                    # A previous measurement's caches (engine masks, blocks,
-                    # report) inflate allocation/GC cost for the next one; drop
-                    # them first so combinations are compared from identical
-                    # starting states.
-                    gc.collect()
-                    seconds, cpu_seconds, report = _time_detection(
-                        detector_class, dataset, ranking, bound, tau_s, k_min, k_hi,
-                        workers, "process" if backend == "serial" else backend,
-                        repeats,
+                # A previous measurement's caches (engine masks, blocks, report)
+                # inflate allocation/GC cost for the next one; drop them first so
+                # combinations are compared from identical starting states.
+                gc.collect()
+                seconds, cpu_seconds, report = _time_detection(
+                    detector_class, dataset, ranking, bound, tau_s, k_min, k_hi,
+                    workers, repeats,
+                )
+                if workers == 1:
+                    baseline_seconds = seconds
+                    baseline_cpu = cpu_seconds
+                    reference_result = report.result
+                elif report.result != reference_result:
+                    raise RuntimeError(
+                        f"parallel result mismatch at rows={n_rows} "
+                        f"attrs={n_attributes} workers={workers}"
                     )
-                    if workers == 1:
-                        baseline_seconds = seconds
-                        baseline_cpu = cpu_seconds
-                        reference_result = report.result
-                    elif report.result != reference_result:
-                        raise RuntimeError(
-                            f"parallel result mismatch at rows={n_rows} "
-                            f"attrs={n_attributes} workers={workers} backend={backend}"
-                        )
-                    speedup = baseline_seconds / seconds
-                    extra = report.stats.extra
-                    entry = {
-                        "n_rows": n_rows,
-                        "n_attributes": n_attributes,
-                        "workers": workers,
-                        "backend": backend,
-                        "tau_s": tau_s,
-                        "k_min": k_min,
-                        "k_max": k_hi,
-                        "seconds": seconds,
-                        "cpu_seconds": cpu_seconds,
-                        "cpu_ratio": cpu_seconds / baseline_cpu if baseline_cpu else None,
-                        "cpu_gated": baseline_cpu is not None
-                        and baseline_cpu >= CPU_PARITY_MIN_SECONDS,
-                        "rows_per_second": n_rows / seconds,
-                        "speedup": speedup,
-                        "efficiency": speedup / workers,
-                        "nodes_evaluated": report.stats.nodes_evaluated,
-                        "groups_reported": report.result.total_reported(),
-                        "parallel_fallback": extra.get("parallel_fallback", 0),
-                        "shm_publishes": extra.get("shm_publishes", 0),
-                        "pool_spawns": extra.get("pool_spawns", 0),
-                        "thread_pool_spawns": extra.get("thread_pool_spawns", 0),
-                    }
-                    entries.append(entry)
-                    if verbose:
-                        print(
-                            f"rows={n_rows:>9,} attrs={n_attributes:>2} "
-                            f"workers={workers} backend={backend:>7}  "
-                            f"{seconds:8.2f}s  cpu {cpu_seconds:8.2f}s  "
-                            f"speedup {speedup:5.2f}x  "
-                            f"efficiency {entry['efficiency']:.2f}",
-                            flush=True,
-                        )
-                    del report
+                speedup = baseline_seconds / seconds
+                extra = report.stats.extra
+                entry = {
+                    "n_rows": n_rows,
+                    "n_attributes": n_attributes,
+                    "workers": workers,
+                    "tau_s": tau_s,
+                    "k_min": k_min,
+                    "k_max": k_hi,
+                    "seconds": seconds,
+                    "cpu_seconds": cpu_seconds,
+                    "cpu_ratio": cpu_seconds / baseline_cpu if baseline_cpu else None,
+                    "rows_per_second": n_rows / seconds,
+                    "speedup": speedup,
+                    "efficiency": speedup / workers,
+                    "nodes_evaluated": report.stats.nodes_evaluated,
+                    "groups_reported": report.result.total_reported(),
+                    "parallel_fallback": extra.get("parallel_fallback", 0),
+                    "shm_publishes": extra.get("shm_publishes", 0),
+                    "pool_spawns": extra.get("pool_spawns", 0),
+                }
+                entries.append(entry)
+                if verbose:
+                    print(
+                        f"rows={n_rows:>9,} attrs={n_attributes:>2} "
+                        f"workers={workers}  "
+                        f"{seconds:8.2f}s  cpu {cpu_seconds:8.2f}s  "
+                        f"speedup {speedup:5.2f}x  "
+                        f"efficiency {entry['efficiency']:.2f}",
+                        flush=True,
+                    )
+                del report
     return _summarise(
-        entries, rows_list, worker_list, backend_list, algorithm, problem, repeats,
+        entries, rows_list, attribute_list, worker_list, algorithm, problem, repeats,
         k_min, k_max,
     )
 
 
-def _summarise(entries, rows_list, worker_list, backend_list, algorithm, problem,
+def _summarise(entries, rows_list, attribute_list, worker_list, algorithm, problem,
                repeats, k_min, k_max) -> dict:
     def _geomean(values):
         values = list(values)
         return math.exp(sum(math.log(v) for v in values) / len(values)) if values else 0.0
 
     max_rows = max(rows_list)
-    # The wall-clock speedup targets describe the process pool (its scaling on
-    # multi-core machines is the original claim); the serial baseline rides
-    # along with workers=1.
     per_worker = {}
     for workers in worker_list:
-        matching = [
-            e for e in entries
-            if e["workers"] == workers and e["backend"] in ("serial", "process")
-        ]
+        matching = [e for e in entries if e["workers"] == workers]
         large = [e["speedup"] for e in matching if e["n_rows"] == max_rows]
         per_worker[str(workers)] = {
             "geomean_speedup": _geomean(e["speedup"] for e in matching),
@@ -270,36 +237,12 @@ def _summarise(entries, rows_list, worker_list, backend_list, algorithm, problem
     target_entry = per_worker.get(str(TARGET_WORKERS), {})
     speedup_at_target = target_entry.get("geomean_speedup_largest_rows", 0.0)
     cpu_count = os.cpu_count() or 1
-    # Thread-backend acceptance: zero IPC by construction, and total CPU within
-    # CPU_PARITY_TOLERANCE of the serial baseline (the gate that is meaningful
-    # even on a single-core machine).
-    thread_entries = [e for e in entries if e["backend"] == "thread"]
-    thread_cpu_ratios = [
-        e["cpu_ratio"] for e in thread_entries
-        if e["cpu_ratio"] is not None and e["cpu_gated"]
-    ]
-    thread_summary = {
-        "entries": len(thread_entries),
-        "zero_ipc": (
-            all(e["shm_publishes"] == 0 and e["pool_spawns"] == 0 for e in thread_entries)
-            if thread_entries else None
-        ),
-        "cpu_gated_entries": len(thread_cpu_ratios),
-        "cpu_ratio_geomean": _geomean(thread_cpu_ratios) if thread_cpu_ratios else None,
-        "cpu_ratio_max": max(thread_cpu_ratios) if thread_cpu_ratios else None,
-        "cpu_parity_tolerance": CPU_PARITY_TOLERANCE,
-        "cpu_parity_min_seconds": CPU_PARITY_MIN_SECONDS,
-        "cpu_parity_ok": (
-            max(thread_cpu_ratios) <= 1.0 + CPU_PARITY_TOLERANCE
-            if thread_cpu_ratios else None
-        ),
-    }
     return {
-        "schema_version": 2,
+        "schema_version": 3,
         "description": (
-            "Sharded lattice search, process and thread backends: end-to-end "
-            "detection wall clock and total CPU vs worker count on synthetic "
-            "row-scaling workloads; speedup = seconds(workers=1) / seconds(entry), "
+            "Sharded lattice search over the process pool: end-to-end detection "
+            "wall clock and total CPU vs worker count on synthetic row-scaling "
+            "workloads; speedup = seconds(workers=1) / seconds(entry), "
             "cpu_ratio = cpu_seconds(entry) / cpu_seconds(workers=1)"
         ),
         "cpu_count": cpu_count,
@@ -307,8 +250,8 @@ def _summarise(entries, rows_list, worker_list, backend_list, algorithm, problem
             "algorithm": algorithm,
             "problem": problem,
             "rows": list(rows_list),
+            "attributes": list(attribute_list),
             "workers": list(worker_list),
-            "backends": list(backend_list),
             "repeats": repeats,
             "k_min": k_min,
             "k_max": k_max,
@@ -321,21 +264,12 @@ def _summarise(entries, rows_list, worker_list, backend_list, algorithm, problem
             "speedup_at_target_workers_largest_rows": speedup_at_target,
             "meets_target": speedup_at_target >= TARGET_SPEEDUP,
             "cores_limit_speedup": cpu_count < TARGET_WORKERS,
-            "thread_backend": thread_summary,
         },
     }
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(",") if part.strip())
-
-
-def _parse_backend_list(text: str) -> tuple[str, ...]:
-    backends = tuple(part.strip() for part in text.split(",") if part.strip())
-    for backend in backends:
-        if backend not in ("process", "thread"):
-            raise argparse.ArgumentTypeError(f"unknown backend {backend!r}")
-    return backends
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -347,9 +281,6 @@ def main(argv: list[str] | None = None) -> int:
                         default=DEFAULT_ATTRIBUTES, help="comma-separated attribute counts")
     parser.add_argument("--workers", type=_parse_int_list,
                         default=DEFAULT_WORKERS, help="comma-separated worker counts")
-    parser.add_argument("--backends", type=_parse_backend_list,
-                        default=DEFAULT_BACKENDS,
-                        help="comma-separated sharding backends (process, thread)")
     parser.add_argument("--algorithm", choices=sorted(ALGORITHMS), default="IterTD")
     parser.add_argument("--problem", choices=("global", "proportional"), default="global")
     parser.add_argument("--repeats", type=int, default=1)
@@ -359,7 +290,6 @@ def main(argv: list[str] | None = None) -> int:
         rows_list=args.rows,
         attribute_list=args.attributes,
         worker_list=args.workers,
-        backend_list=args.backends,
         algorithm=args.algorithm,
         problem=args.problem,
         repeats=args.repeats,
@@ -377,20 +307,6 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"target worker count {summary['target_workers']} not in the measured grid; "
             f"no target comparison (cpu_count={artifact['cpu_count']})"
-        )
-    thread_summary = summary["thread_backend"]
-    if thread_summary["entries"]:
-        if thread_summary["cpu_ratio_max"] is not None:
-            parity = (
-                f"cpu ratio max {thread_summary['cpu_ratio_max']:.2f} over "
-                f"{thread_summary['cpu_gated_entries']} gated entries "
-                f"(tolerance +{thread_summary['cpu_parity_tolerance']:.0%})"
-            )
-        else:
-            parity = "cpu parity ungated (every workload below the CPU floor)"
-        print(
-            f"thread backend: {thread_summary['entries']} entries, "
-            f"zero IPC {thread_summary['zero_ipc']}, {parity}"
         )
     print(f"wrote {args.output}")
     if summary["cores_limit_speedup"]:

@@ -5,12 +5,14 @@ time real detection work, so they are opt-in::
 
     PYTHONPATH=src python -m pytest benchmarks -m bench_smoke
 
-The pure-logic tests of ``check_regression`` below are cheap and run everywhere.
+The pure-logic tests of ``check_regression`` and its command-line entry point
+below are cheap and run everywhere.
 """
 
 from __future__ import annotations
 
 import copy
+import json
 
 import pytest
 
@@ -18,8 +20,8 @@ from benchmarks.bench_engine_throughput import run_benchmarks
 from benchmarks.check_regression import (
     DEFAULT_BASELINE,
     check_regression,
-    check_scaling,
     load_artifact,
+    main,
 )
 
 
@@ -60,69 +62,52 @@ class TestCheckRegressionLogic:
         problems = check_regression(current, self.BASELINE)
         assert any("k-sweep target" in problem for problem in problems)
 
-    def test_compiled_gate_skipped_without_numba(self):
+
+class TestCheckRegressionMain:
+    """The command-line entry point, on artifacts written to a temporary directory."""
+
+    BASELINE = TestCheckRegressionLogic.BASELINE
+
+    @staticmethod
+    def _write(path, artifact):
+        path.write_text(json.dumps(artifact))
+        return str(path)
+
+    def _args(self, tmp_path, current, planner=None):
+        return [
+            "--current", self._write(tmp_path / "current.json", current),
+            "--baseline", self._write(tmp_path / "baseline.json", self.BASELINE),
+            "--planner", str(planner or tmp_path / "absent.json"),
+        ]
+
+    def test_committed_artifacts_pass(self, capsys):
+        assert main([]) == 0
+        assert "planner gates passed" in capsys.readouterr().out
+
+    def test_unchanged_artifact_passes_without_a_planner_artifact(self, tmp_path, capsys):
+        assert main(self._args(tmp_path, self.BASELINE)) == 0
+        out = capsys.readouterr().out
+        assert "skipping the planner gates" in out
+        assert "throughput regression check passed" in out
+
+    def test_regression_exits_1_and_lists_the_problem(self, tmp_path, capsys):
         current = copy.deepcopy(self.BASELINE)
-        current["summary"]["numba_available"] = False
-        current["summary"]["compiled_kernel_min_speedup"] = None
-        assert check_regression(current, self.BASELINE) == []
+        current["workloads"][0]["speedup"] = 3.0
+        assert main(self._args(tmp_path, current)) == 1
+        out = capsys.readouterr().out
+        assert "FAILED" in out
+        assert "w/global/IterTD" in out
 
-    def test_compiled_gate_binds_with_numba(self):
-        current = copy.deepcopy(self.BASELINE)
-        current["summary"]["numba_available"] = True
-        current["summary"]["compiled_kernel_min_speedup"] = 1.1
-        problems = check_regression(current, self.BASELINE)
-        assert any("compiled kernels too slow" in problem for problem in problems)
-        current["summary"]["compiled_kernel_min_speedup"] = 2.0
-        assert check_regression(current, self.BASELINE) == []
+    def test_failing_planner_artifact_fails_the_check(self, tmp_path, capsys):
+        planner = self._write(tmp_path / "planner.json", {"summary": {}})
+        assert main(self._args(tmp_path, self.BASELINE, planner)) == 1
+        assert "planner artifact has no summary.gates mapping" in capsys.readouterr().out
 
-
-class TestCheckScalingLogic:
-    def _artifact(self, **thread_overrides):
-        thread_entry = {
-            "n_rows": 10_000, "n_attributes": 5, "workers": 2, "backend": "thread",
-            "cpu_ratio": 1.05, "shm_publishes": 0, "pool_spawns": 0,
-            "thread_pool_spawns": 1,
-        }
-        thread_entry.update(thread_overrides)
-        return {
-            "schema_version": 2,
-            "entries": [
-                {"n_rows": 10_000, "n_attributes": 5, "workers": 1,
-                 "backend": "serial", "cpu_ratio": 1.0, "shm_publishes": 0,
-                 "pool_spawns": 0, "thread_pool_spawns": 0},
-                thread_entry,
-            ],
-            "summary": {
-                "thread_backend": {
-                    "entries": 1,
-                    "zero_ipc": thread_entry["shm_publishes"] == 0
-                    and thread_entry["pool_spawns"] == 0,
-                    "cpu_ratio_max": thread_entry["cpu_ratio"],
-                    "cpu_parity_tolerance": 0.35,
-                    "cpu_parity_ok": thread_entry["cpu_ratio"] <= 1.35,
-                }
-            },
-        }
-
-    def test_clean_artifact_passes(self):
-        assert check_scaling(self._artifact()) == []
-
-    def test_missing_thread_entries_fail(self):
-        artifact = self._artifact()
-        artifact["entries"] = [e for e in artifact["entries"] if e["backend"] != "thread"]
-        assert check_scaling(artifact) == ["scaling artifact has no thread-backend entries"]
-
-    def test_ipc_leak_fails(self):
-        problems = check_scaling(self._artifact(shm_publishes=1))
-        assert any("published shared memory" in problem for problem in problems)
-
-    def test_serial_fallback_fails(self):
-        problems = check_scaling(self._artifact(thread_pool_spawns=0))
-        assert any("fell back to the serial path" in problem for problem in problems)
-
-    def test_cpu_parity_violation_fails(self):
-        problems = check_scaling(self._artifact(cpu_ratio=2.0))
-        assert any("not at parity" in problem for problem in problems)
+    def test_missing_artifacts_exit_2(self, tmp_path):
+        args = self._args(tmp_path, self.BASELINE)
+        absent = str(tmp_path / "absent.json")
+        assert main(["--current", absent] + args[2:]) == 2
+        assert main(args[:2] + ["--baseline", absent] + args[4:]) == 2
 
 
 @pytest.mark.bench_smoke
@@ -133,25 +118,13 @@ class TestEngineSmoke:
         return run_benchmarks(scale=0.2, n_attributes=6, synthetic_rows=2500, repeats=2)
 
     def test_artifact_shape(self, artifact):
-        from repro.core.engine.kernels import NUMBA_AVAILABLE
-
-        assert artifact["schema_version"] == 2
+        assert artifact["schema_version"] == 3
         assert len(artifact["workloads"]) == 8
-        assert artifact["summary"]["numba_available"] == NUMBA_AVAILABLE
         for entry in artifact["workloads"]:
             assert entry["naive_seconds"] > 0 and entry["engine_seconds"] > 0
             assert entry["speedup"] == pytest.approx(
                 entry["naive_seconds"] / entry["engine_seconds"]
             )
-            # The compiled dimension is present on numba machines, null otherwise.
-            if NUMBA_AVAILABLE:
-                assert entry["compiled_seconds"] > 0
-                assert entry["compiled_speedup"] == pytest.approx(
-                    entry["engine_seconds"] / entry["compiled_seconds"]
-                )
-            else:
-                assert entry["compiled_seconds"] is None
-                assert entry["compiled_speedup"] is None
 
     def test_k_sweep_fast_path_beats_naive(self, artifact):
         """Even at smoke scale the engine must clearly beat the per-pattern path."""

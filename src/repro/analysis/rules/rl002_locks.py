@@ -24,10 +24,10 @@ deadlock- and race-free, and both are checkable statically:
    ``*_locked`` (the convention for helpers documented as caller-holds-lock)
    are exempt.
 
-Scope: ``repro/service/``, ``repro/core/engine/parallel.py`` and
-``repro/core/engine/threads.py`` — the places with real cross-thread state
-(the thread-sharded executor keeps its lifecycle flag and assignment cache
-behind ``self._lock`` and registers both in its ``_GUARDED_BY``).
+Scope: ``repro/service/`` and ``repro/core/engine/parallel.py`` — the places
+with real cross-thread state (the session pool, for one, keeps its entries and
+lifecycle counters behind ``self._lock`` and registers them in its
+``_GUARDED_BY``).
 """
 
 from __future__ import annotations
@@ -241,9 +241,7 @@ class LockDisciplineRule(Rule):
 
     def applies_to(self, source: SourceFile) -> bool:
         path = source.module_path
-        return "repro/service/" in path or path.endswith(
-            ("repro/core/engine/parallel.py", "repro/core/engine/threads.py")
-        )
+        return "repro/service/" in path or path.endswith("repro/core/engine/parallel.py")
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
         guarded = _guarded_registry(source.tree)

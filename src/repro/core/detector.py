@@ -24,7 +24,7 @@ from repro.data.dataset import Dataset
 from repro.exceptions import DetectionError
 from repro.ranking.base import Ranker, Ranking
 
-#: Signature of the search strategy handed to :meth:`Detector._run`: one full
+#: Signature of the search strategy handed to :meth:`Detector._sweep`: one full
 #: Algorithm-1 search — ``search(bound, k, tau_s, stats, classification=True)`` —
 #: executed either in-process (:func:`~repro.core.top_down.top_down_search`) or by
 #: the sharded parallel executor, transparently to the algorithms.  Callers that
@@ -152,7 +152,7 @@ class Detector(abc.ABC):
     #: Human-readable algorithm name, set by subclasses.
     name: str = "detector"
 
-    #: Whether :meth:`_run` routes work through the ``search`` strategy.  Set to
+    #: Whether :meth:`_sweep` routes work through the ``search`` strategy.  Set to
     #: ``False`` by subclasses that never run full top-down searches (e.g. the
     #: upper-bound detector), so :meth:`detect` does not pay for spawning a
     #: parallel executor that would receive zero tasks.
@@ -163,22 +163,10 @@ class Detector(abc.ABC):
     #: detectors are resumable; third-party subclasses default to one-shot.
     resumable: bool = False
 
-    def __init_subclass__(cls, **kwargs) -> None:
-        # Keep the abstract-class fail-fast despite the dual override points:
-        # a concrete detector must implement _sweep or the legacy _run.
-        super().__init_subclass__(**kwargs)
-        if (
-            not getattr(cls, "__abstractmethods__", None)
-            and cls._sweep is Detector._sweep
-            and cls._run is Detector._run
-        ):
-            raise TypeError(
-                f"{cls.__name__} must override _sweep() (or the legacy _run())"
-            )
-
     def __init__(self, parameters: DetectionParameters) -> None:
         self.parameters = parameters
 
+    @abc.abstractmethod
     def _sweep(
         self, counter: PatternCounter, stats: SearchStats, search: SearchFn
     ) -> SweepOutcome:
@@ -195,22 +183,7 @@ class Detector(abc.ABC):
         queries via :meth:`DetectionResult.restrict_k`.  Resumable detectors
         additionally capture a :class:`~repro.core.top_down.SweepFrontier` on the
         assembler so the session's result store can later extend the sweep.
-
-        This is the override point for the built-in algorithms.  Legacy
-        third-party subclasses may override :meth:`_run` instead; such sweeps
-        simply carry no frontier.
         """
-        if type(self)._run is not Detector._run:
-            return SweepOutcome(result=self._run(counter, stats, search), frontier=None)
-        raise NotImplementedError(
-            f"{type(self).__name__} must implement _sweep() (or the legacy _run())"
-        )
-
-    def _run(
-        self, counter: PatternCounter, stats: SearchStats, search: SearchFn
-    ) -> DetectionResult:
-        """Legacy override point: like :meth:`_sweep` but without a frontier."""
-        return self._sweep(counter, stats, search).result
 
     def _resume(
         self,

@@ -35,14 +35,6 @@ from __future__ import annotations
 from repro.core.engine.blocks import BlockEntry, EngineBlock, MaterializedBlock
 from repro.core.engine.cache import LRUCache
 from repro.core.engine.counting import DEFAULT_CACHE_CAPACITY, CountingEngine
-from repro.core.engine.kernels import (
-    NUMBA_AVAILABLE,
-    CompiledKernels,
-    NumpyKernels,
-    available_kernels,
-    get_kernels,
-    resolve_kernel,
-)
 from repro.core.engine.masks import (
     DEFAULT_SPARSE_THRESHOLD,
     DenseMatch,
@@ -50,6 +42,11 @@ from repro.core.engine.masks import (
     make_match,
 )
 from repro.core.engine.naive import NaiveCounter
+from repro.core.engine.parallel import (
+    ExecutionConfig,
+    ParallelSearchExecutor,
+    create_search_executor,
+)
 from repro.core.engine.shared import (
     SharedDatasetHandle,
     SharedDatasetView,
@@ -57,23 +54,6 @@ from repro.core.engine.shared import (
 )
 from repro.core.engine.sharding import estimate_subtree_weight, partition_weighted
 from repro.core.engine.tree import SearchTree
-
-# parallel (and threads, which builds on it) must come after the submodules
-# above: they import repro.core.top_down, which re-enters this (then partially
-# initialised) package through repro.core.pattern_graph's engine imports —
-# those resolve because they target already-imported submodules directly.
-from repro.core.engine.parallel import (
-    ExecutionConfig,
-    ParallelSearchExecutor,
-    create_parallel_executor,
-)
-from repro.core.engine.threads import (
-    THREAD_BACKEND_MAX_BYTES,
-    ThreadedSearchExecutor,
-    create_search_executor,
-    resolve_backend,
-)
-
 
 __all__ = [
     "CountingEngine",
@@ -93,17 +73,7 @@ __all__ = [
     "partition_weighted",
     "ExecutionConfig",
     "ParallelSearchExecutor",
-    "create_parallel_executor",
-    "ThreadedSearchExecutor",
     "create_search_executor",
-    "resolve_backend",
-    "THREAD_BACKEND_MAX_BYTES",
-    "NUMBA_AVAILABLE",
-    "NumpyKernels",
-    "CompiledKernels",
-    "available_kernels",
-    "get_kernels",
-    "resolve_kernel",
     "DEFAULT_CACHE_CAPACITY",
     "DEFAULT_SPARSE_THRESHOLD",
 ]

@@ -23,7 +23,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.core.engine.kernels import NumpyKernels
 from repro.core.pattern import Pattern
 from repro.data.schema import Attribute
 
@@ -42,10 +41,7 @@ class BlockEntry:
     one detection run uses a single ``tau_s``, so the memo is a one-slot cache.
     """
 
-    __slots__ = (
-        "parent", "attribute", "rows", "column", "sizes", "kernels",
-        "_survivor_tau", "_survivors",
-    )
+    __slots__ = ("parent", "attribute", "rows", "column", "sizes", "_survivor_tau", "_survivors")
 
     def __init__(
         self,
@@ -54,16 +50,12 @@ class BlockEntry:
         rows: np.ndarray,
         column: np.ndarray,
         sizes: np.ndarray,
-        kernels=NumpyKernels,
     ) -> None:
         self.parent = parent
         self.attribute = attribute
         self.rows = rows
         self.column = column
         self.sizes = sizes
-        #: Counting-kernel implementation (:mod:`repro.core.engine.kernels`)
-        #: shared with the engine that built this entry.
-        self.kernels = kernels
         self._survivor_tau: int | None = None
         self._survivors: tuple[Survivor, ...] = ()
 
@@ -73,11 +65,16 @@ class BlockEntry:
 
     def positions_for(self, index: int) -> np.ndarray:
         """Sorted rank positions of the child at value-code ``index``."""
-        return self.kernels.child_positions(self.rows, self.column, index)
+        return self.rows[self.column == index]
 
     def counts_at(self, k: int) -> np.ndarray:
-        """Top-k counts of *all* children at once (one fused prefix pass)."""
-        return self.kernels.prefix_counts(self.rows, self.column, k, self.sizes.shape[0])
+        """Top-k counts of *all* children at once (one prefix ``np.bincount``).
+
+        ``rows`` is sorted, so the rows inside the top-k prefix are the first
+        ``searchsorted(rows, k)`` of them.
+        """
+        limit = int(np.searchsorted(self.rows, k, side="left"))
+        return np.bincount(self.column[:limit], minlength=self.sizes.shape[0])
 
     def survivors_for(self, tau_s: int) -> tuple[Survivor, ...]:
         """The children with ``size >= tau_s`` and their value-code indices."""

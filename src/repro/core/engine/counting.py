@@ -4,10 +4,8 @@
 fixed dataset and ranking.  It differs from a per-pattern mask cache in three ways:
 
 * **Sibling-batch evaluation** — :meth:`child_block` evaluates all children of one
-  attribute with one fused counting-kernel pass over the parent's matched column
-  slice (:mod:`repro.core.engine.kernels` — numba-compiled when available, pure
-  numpy otherwise), producing sizes and top-k counts for the whole sibling block
-  at once.
+  attribute with one ``np.bincount`` over the parent's matched column slice,
+  producing sizes and top-k counts for the whole sibling block at once.
 * **Prefix-count representation** — cached matches store sorted rank positions (or
   a cumulative-count prefix for dense matches), so ``top_k_count(p, k)`` for *any*
   ``k`` is one ``np.searchsorted`` / array lookup; a k-sweep re-reads cached blocks
@@ -27,7 +25,6 @@ import numpy as np
 
 from repro.core.engine.blocks import BlockEntry, EngineBlock
 from repro.core.engine.cache import LRUCache
-from repro.core.engine.kernels import get_kernels
 from repro.core.engine.masks import (
     DEFAULT_SPARSE_THRESHOLD,
     POSITION_DTYPE,
@@ -58,13 +55,9 @@ class CountingEngine:
         max_cached_blocks: int | None = None,
         sparse_threshold: float = DEFAULT_SPARSE_THRESHOLD,
         ranked_codes: np.ndarray | None = None,
-        kernel: str = "auto",
     ) -> None:
         if ranking.dataset is not dataset and ranking.dataset != dataset:
             raise ValueError("the ranking was computed over a different dataset")
-        # Resolve the counting-kernel implementation up front so an invalid or
-        # unsatisfiable request fails here, not deep inside the first search.
-        self._kernels = get_kernels(kernel)
         self._dataset = dataset
         self._ranking = ranking
         self._schema = dataset.schema
@@ -133,11 +126,6 @@ class CountingEngine:
         return self._sparse_threshold
 
     @property
-    def kernel_name(self) -> str:
-        """The counting-kernel implementation in use (``"numpy"`` or ``"compiled"``)."""
-        return self._kernels.name
-
-    @property
     def ranked_codes(self) -> np.ndarray:
         """The dataset's codes matrix in rank order (column-major ``int32``).
 
@@ -165,7 +153,7 @@ class CountingEngine:
             parent_match = self.match(parent)
             rows = parent_match.positions()
             column = self._ranked_codes[:, column_index]
-            positions = self._kernels.select_positions(column, rows, code)
+            positions = rows[column[rows] == code]
         return self._remember(pattern, parent, positions)
 
     def _remember(
@@ -238,12 +226,11 @@ class CountingEngine:
     def child_block(self, parent: Pattern, attribute_index: int, k: int) -> EngineBlock:
         """Evaluate all children ``parent ∧ (A = v)`` of one attribute in one batch.
 
-        On a cache miss the block is built by one fused kernel pass over the
-        parent's sorted rank positions (:mod:`repro.core.engine.kernels`): the
-        gathered child codes, the size histogram and the top-k histogram come out
-        of a single traversal — ``rows`` is sorted, so "inside the top-k prefix"
-        is just ``rows[i] < k``.  The (rows, codes) pair is cached so later sweeps
-        at different ``k`` re-count the whole block with one prefix pass.
+        On a cache miss the parent's sorted rank positions gather the child codes
+        of one column, and one ``np.bincount`` over them gives every child's size.
+        The (rows, codes) pair is cached so this and later sweeps at any ``k``
+        count the whole block's top-k with one prefix pass
+        (:meth:`BlockEntry.counts_at`).
         """
         key = (parent, attribute_index)
         cached = self._blocks.get(key)
@@ -253,13 +240,12 @@ class CountingEngine:
         attribute = self._schema.attributes[attribute_index]
         parent_match = self.match(parent)
         rows = parent_match.positions()
-        column, sizes, counts = self._kernels.evaluate_block(
-            self._ranked_codes[:, attribute_index], rows, k, attribute.cardinality
-        )
-        entry = BlockEntry(parent, attribute, rows, column, sizes, self._kernels)
+        column = self._ranked_codes[:, attribute_index][rows]
+        sizes = np.bincount(column, minlength=attribute.cardinality)
+        entry = BlockEntry(parent, attribute, rows, column, sizes)
         self._blocks.put(key, entry)
         self.batch_evaluations += 1
-        return EngineBlock(entry, k, counts)
+        return EngineBlock(entry, k, entry.counts_at(k))
 
     def child_blocks(self, parent: Pattern, k: int):
         """One :class:`EngineBlock` per attribute contributing children of ``parent``."""

@@ -54,7 +54,7 @@ therefore be picklable (module-level functions, not lambdas) when ``workers > 1`
 
 Serial execution (``workers == 1``) never touches this module's machinery: no
 worker process is spawned and no shared-memory segment is created — see
-:func:`create_parallel_executor` and the guard tests in
+:func:`create_search_executor` and the guard tests in
 ``tests/core/test_parallel_search.py``.
 """
 
@@ -80,7 +80,6 @@ from repro.core.engine.faults import (
     FaultInjector,
     FaultPlan,
 )
-from repro.core.engine.kernels import KERNEL_CHOICES
 from repro.core.engine.masks import DEFAULT_SPARSE_THRESHOLD
 from repro.core.engine.shared import SharedDatasetHandle, SharedDatasetView, shared_memory_available
 from repro.core.engine.sharding import estimate_subtree_weight, partition_weighted
@@ -95,9 +94,6 @@ from repro.exceptions import (
 
 _START_METHODS = (None, "fork", "spawn", "forkserver")
 
-#: Valid values of :attr:`ExecutionConfig.backend`.
-BACKEND_CHOICES = ("auto", "process", "thread")
-
 
 @dataclass(frozen=True)
 class ExecutionConfig:
@@ -110,26 +106,13 @@ class ExecutionConfig:
         with zero parallel overhead; ``0`` means "one per available CPU" —
         resolved via ``len(os.sched_getaffinity(0))`` where the platform
         provides it (so a container or cgroup CPU mask is respected) and
-        ``os.cpu_count()`` otherwise.  Values above 1 enable a sharded parallel
-        executor (falling back to serial when the chosen backend is
-        unavailable).
-    kernel:
-        Counting-kernel implementation for every engine the configuration
-        builds (coordinator and shard workers alike): ``"auto"`` (default)
-        picks the numba-compiled fused kernels when numba is importable and the
-        pure-numpy fallback otherwise (the ``REPRO_FORCE_KERNEL`` environment
-        variable overrides the auto choice); ``"numpy"`` / ``"compiled"`` pin
-        an implementation — an unsatisfiable pin raises
-        :class:`~repro.exceptions.ConfigurationError` at engine construction.
+        ``os.cpu_count()`` otherwise.  Values above 1 enable the sharded
+        process pool of this module (falling back to serial when the platform
+        cannot provide shared memory).
     backend:
-        Sharded-search backend for ``workers > 1``: ``"process"`` (default) is
-        the shared-memory worker pool of this module; ``"thread"`` runs shards
-        on a :class:`~repro.core.engine.threads.ThreadedSearchExecutor` —
-        same LPT sharding and state merge, but over the *same* engine arrays
-        with no shm publish, pool spawn or pickling; ``"auto"`` picks threads
-        for datasets below the shared-memory payoff threshold
-        (:data:`~repro.core.engine.threads.THREAD_BACKEND_MAX_BYTES`) and
-        processes above it.
+        Sharded-search backend for ``workers > 1``.  Only ``"process"`` (the
+        default, the shared-memory worker pool of this module) is accepted;
+        any other value raises :class:`~repro.exceptions.ConfigurationError`.
     match_cache_capacity:
         Maximum number of cached pattern matches in each counting engine
         (default :data:`~repro.core.engine.counting.DEFAULT_CACHE_CAPACITY`,
@@ -181,7 +164,6 @@ class ExecutionConfig:
     """
 
     workers: int = 1
-    kernel: str = "auto"
     backend: str = "process"
     match_cache_capacity: int = DEFAULT_CACHE_CAPACITY
     block_cache_capacity: int | None = None
@@ -198,39 +180,35 @@ class ExecutionConfig:
 
     def __post_init__(self) -> None:
         if self.workers < 0:
-            raise DetectionError("workers must be >= 1, or 0 for one per CPU")
-        if self.kernel not in KERNEL_CHOICES:
+            raise ConfigurationError("workers must be >= 1, or 0 for one per CPU")
+        if self.backend != "process":
             raise ConfigurationError(
-                f"unknown kernel {self.kernel!r}: expected one of {KERNEL_CHOICES}"
-            )
-        if self.backend not in BACKEND_CHOICES:
-            raise ConfigurationError(
-                f"unknown backend {self.backend!r}: expected one of {BACKEND_CHOICES}"
+                f"unknown backend {self.backend!r}: only 'process' is supported"
             )
         if self.match_cache_capacity < 0:
-            raise DetectionError("match_cache_capacity must be non-negative")
+            raise ConfigurationError("match_cache_capacity must be non-negative")
         if self.block_cache_capacity is not None and self.block_cache_capacity < 0:
-            raise DetectionError("block_cache_capacity must be non-negative")
+            raise ConfigurationError("block_cache_capacity must be non-negative")
         if self.sparse_threshold < 0:
-            raise DetectionError("sparse_threshold must be non-negative")
+            raise ConfigurationError("sparse_threshold must be non-negative")
         if self.start_method not in _START_METHODS:
-            raise DetectionError(
+            raise ConfigurationError(
                 f"start_method must be one of {_START_METHODS[1:]} or None"
             )
         if self.heartbeat_interval <= 0:
-            raise DetectionError("heartbeat_interval must be positive")
+            raise ConfigurationError("heartbeat_interval must be positive")
         if self.heartbeat_timeout < self.heartbeat_interval:
-            raise DetectionError("heartbeat_timeout must be >= heartbeat_interval")
+            raise ConfigurationError("heartbeat_timeout must be >= heartbeat_interval")
         if self.shard_timeout is not None and self.shard_timeout <= 0:
-            raise DetectionError("shard_timeout must be positive (or None to disable)")
+            raise ConfigurationError("shard_timeout must be positive (or None to disable)")
         if self.query_deadline is not None and self.query_deadline <= 0:
-            raise DetectionError("query_deadline must be positive (or None to disable)")
+            raise ConfigurationError("query_deadline must be positive (or None to disable)")
         if self.max_worker_restarts < 0:
-            raise DetectionError("max_worker_restarts must be non-negative")
+            raise ConfigurationError("max_worker_restarts must be non-negative")
         if self.retry_backoff < 0:
-            raise DetectionError("retry_backoff must be non-negative")
+            raise ConfigurationError("retry_backoff must be non-negative")
         if self.breaker_cooldown < 0:
-            raise DetectionError("breaker_cooldown must be non-negative")
+            raise ConfigurationError("breaker_cooldown must be non-negative")
 
     def resolved_workers(self) -> int:
         """The effective worker count (``0`` resolves to the available CPUs).
@@ -262,7 +240,6 @@ class ExecutionConfig:
             "max_cached_masks": self.match_cache_capacity,
             "max_cached_blocks": self.block_cache_capacity,
             "sparse_threshold": self.sparse_threshold,
-            "kernel": self.kernel,
         }
 
 
@@ -444,10 +421,6 @@ class ParallelSearchExecutor:
     executor and fall back to the serial in-process path.  ``close()`` is
     idempotent and the executor is a context manager.
     """
-
-    #: Backend discriminator consumed by the session's lifecycle accounting
-    #: (``shm_publishes``/``pool_spawns`` vs ``thread_pool_spawns``).
-    backend = "process"
 
     #: Seconds between supervision rounds (queue drains + health checks) while
     #: waiting on shard results.
@@ -894,7 +867,7 @@ class ParallelSearchExecutor:
         self.close()
 
 
-def create_parallel_executor(
+def create_search_executor(
     counter, config: ExecutionConfig, generation: int = 0
 ) -> ParallelSearchExecutor | None:
     """Build a :class:`ParallelSearchExecutor`, or ``None`` when serial is right.

@@ -24,7 +24,7 @@ Two objects are involved:
 Platforms without working POSIX shared memory (some restricted sandboxes mount no
 ``/dev/shm``) raise ``OSError`` from ``publish``; callers are expected to catch it
 and fall back to the serial in-process path — see
-:func:`repro.core.engine.parallel.create_parallel_executor`.
+:func:`repro.core.engine.parallel.create_search_executor`.
 """
 
 from __future__ import annotations

@@ -46,7 +46,6 @@ class PatternCounter:
         sparse_threshold: float = DEFAULT_SPARSE_THRESHOLD,
         max_cached_blocks: int | None = None,
         ranked_codes: np.ndarray | None = None,
-        kernel: str = "auto",
     ) -> None:
         self._engine = CountingEngine(
             dataset,
@@ -55,7 +54,6 @@ class PatternCounter:
             max_cached_blocks=max_cached_blocks,
             sparse_threshold=sparse_threshold,
             ranked_codes=ranked_codes,
-            kernel=kernel,
         )
 
     # -- basic facts -----------------------------------------------------------

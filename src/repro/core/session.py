@@ -83,8 +83,7 @@ import numpy as np
 
 from repro.core.bounds import BoundSpec
 from repro.core.detector import DetectionParameters, DetectionReport, Detector
-from repro.core.engine.parallel import ExecutionConfig
-from repro.core.engine.threads import create_search_executor
+from repro.core.engine.parallel import ExecutionConfig, create_search_executor
 from repro.core.pattern_graph import PatternCounter
 from repro.core.planner import (
     DEFAULT_RESULT_CACHE_CAPACITY,
@@ -324,7 +323,7 @@ class AuditSession:
         the surviving steps run in ascending ``tau_s`` order so the executor's
         per-``tau_s`` shard assignments and the engine's block caches are reused
         back-to-back.  Finished sweeps land in the session's
-        :class:`~repro.core.planner.ResultCache`; any step (now or in a later
+        :class:`~repro.core.result_store.ResultStore`; any step (now or in a later
         batch) whose range is contained in a cached sweep is answered by
         :meth:`~repro.core.result_set.DetectionResult.restrict_k` without
         touching the engine.  Every report is bit-identical to a cold
@@ -770,7 +769,7 @@ class AuditSession:
                 # session-wide sums must still account for it.
                 lifecycle = {
                     name: stats.extra[name]
-                    for name in ("shm_publishes", "pool_spawns", "thread_pool_spawns")
+                    for name in ("shm_publishes", "pool_spawns")
                     if name in stats.extra
                 }
                 # The fault counters also survive: the restarts and timeouts
@@ -855,11 +854,9 @@ class AuditSession:
         Created lazily on the first query that actually fans searches out
         (``detector.uses_search`` and more than one worker).  The creating query's
         stats record the lifecycle events — ``shm_publishes`` + ``pool_spawns``
-        for the process backend, ``thread_pool_spawns`` for the thread backend
-        (which publishes no shared memory and spawns no processes) — so summing
-        them over a session's reports counts the setup work the whole session
-        performed, which is how the reuse (and zero-IPC) guarantees are
-        asserted and benchmarked.
+        — so summing them over a session's reports counts the setup work the
+        whole session performed, which is how the reuse guarantee is asserted
+        and benchmarked.
         """
         if not detector.uses_search:
             return None
@@ -894,11 +891,8 @@ class AuditSession:
         if self._degraded_until is not None:
             self._degraded_until = None
             stats.executor_recoveries += 1
-        if executor.backend == "thread":
-            stats.bump("thread_pool_spawns")
-        else:
-            stats.bump("shm_publishes")
-            stats.bump("pool_spawns")
+        stats.bump("shm_publishes")
+        stats.bump("pool_spawns")
         self._executor = executor
         return executor
 

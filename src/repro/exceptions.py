@@ -56,10 +56,10 @@ class DetectionError(ReproError):
 class ConfigurationError(DetectionError):
     """An :class:`~repro.core.engine.parallel.ExecutionConfig` field is invalid.
 
-    Raised at configuration time — dataclass ``__post_init__`` or kernel/backend
-    resolution — so an unknown ``kernel`` or ``backend`` string (or a
-    ``kernel="compiled"`` request on a machine without numba) fails fast with a
-    typed error instead of surfacing deep inside the executor.
+    Raised by the dataclass's ``__post_init__`` for every field — a negative
+    worker count or cache capacity, an unknown ``backend`` or start method, an
+    inconsistent timeout — so a bad configuration fails fast with a typed error
+    instead of surfacing deep inside the executor.
     """
 
 

@@ -54,23 +54,23 @@ def test_rl001_anchors_are_present_in_the_real_tree():
     assert rule._publish is not None
 
 
-def test_rl002_covers_the_thread_backend():
-    """Guard against the lock rule going silently inert on threads.py.
+def test_rl002_covers_the_session_pool():
+    """Guard against the lock rule going silently inert on the service layer.
 
-    The thread-sharded executor is real cross-thread state; RL002 is only
-    binding there if (a) the rule's scope matches the module path and (b) the
-    module actually declares its guarded attributes.  Either drifting — a file
-    move, or the ``_GUARDED_BY`` registry being deleted in a refactor — must
-    fail loudly, not leave unguarded writes unchecked.
+    The session pool is real cross-thread state; RL002 is only binding there
+    if (a) the rule's scope matches the module path and (b) the module
+    actually declares its guarded attributes.  Either drifting — a file move,
+    or the ``_GUARDED_BY`` registry being deleted in a refactor — must fail
+    loudly, not leave unguarded writes unchecked.
     """
     from repro.analysis.rules.rl002_locks import LockDisciplineRule, _guarded_registry
     from repro.analysis.source import FileCache
 
     cache = FileCache()
     rule = LockDisciplineRule()
-    source = cache.load(str(REPO_ROOT / "src/repro/core/engine/threads.py"))
+    source = cache.load(str(REPO_ROOT / "src/repro/service/pool.py"))
     assert source is not None
-    assert rule.applies_to(source), "RL002 scope no longer matches threads.py"
+    assert rule.applies_to(source), "RL002 scope no longer matches service/pool.py"
     registry = _guarded_registry(source.tree)
     assert registry.get("_closed") == ("_lock",)
-    assert registry.get("_assignments") == ("_lock",)
+    assert registry.get("_entries") == ("_lock",)

@@ -98,3 +98,16 @@ class TestFacade:
             toy_dataset, toy_ranker(), GlobalBoundSpec(lower_bounds=2), tau_s=4, k_min=4, k_max=5
         )
         assert report.result.total_reported() > 0
+
+
+class TestDetectorSubclassing:
+    def test_sweep_is_the_only_abstract_override_point(self):
+        from repro.core.detector import Detector
+
+        assert Detector.__abstractmethods__ == frozenset({"_sweep"})
+
+        class Incomplete(Detector):
+            name = "incomplete"
+
+        with pytest.raises(TypeError, match="_sweep"):
+            Incomplete(None)

@@ -14,9 +14,7 @@ import pytest
 
 from repro.core.bounds import GlobalBoundSpec, ProportionalBoundSpec, step_lower_bounds
 from repro.core.brute_force import brute_force_detection, enumerate_patterns
-from repro.core.engine.kernels import NUMBA_AVAILABLE, available_kernels
 from repro.core.engine.naive import NaiveCounter
-from repro.core.engine.parallel import ExecutionConfig
 from repro.core.global_bounds import GlobalBoundsDetector
 from repro.core.iter_td import IterTDDetector
 from repro.core.pattern import EMPTY_PATTERN
@@ -137,29 +135,20 @@ class TestDetectorParity:
         self._check(dataset, ranking, bound, tau_s=1, k_min=1, k_max=n_rows)
 
 
-@pytest.mark.parametrize("kernel", available_kernels())
 @pytest.mark.parametrize("seed,n_rows,cardinalities,skew", INSTANCES[:3])
 class TestKernelParity:
-    """Every selectable kernel implementation vs the naive oracle, bit for bit.
-
-    On numba-free machines this runs the numpy kernels only; with numba
-    installed the compiled kernels join the same parametrisation, so parity is
-    green with and without the optional accelerator.
-    """
+    """The engine's block counting vs the naive oracle, bit for bit."""
 
     def test_sizes_and_counts_match_naive_across_k_range(
-        self, kernel, seed, n_rows, cardinalities, skew
+        self, seed, n_rows, cardinalities, skew
     ):
         """Dense and sparse parents, k at both range ends, via both cache paths."""
         dataset, ranking = _instance(seed, n_rows, cardinalities, skew)
         # sparse_threshold=1.1 forces sparse storage everywhere; the default
         # exercises the dense representation for large matches.
         for sparse_threshold in (0.25, 1.1):
-            counter = PatternCounter(
-                dataset, ranking, kernel=kernel, sparse_threshold=sparse_threshold
-            )
+            counter = PatternCounter(dataset, ranking, sparse_threshold=sparse_threshold)
             naive = NaiveCounter(dataset, ranking)
-            assert counter.engine.kernel_name == kernel
             for k in (1, 2, n_rows // 2, n_rows - 1, n_rows):
                 parents = [EMPTY_PATTERN] + list(counter.tree.children(EMPTY_PATTERN))
                 for parent in parents:
@@ -169,10 +158,10 @@ class TestKernelParity:
                         assert engine_block.sizes.tolist() == list(naive_block.sizes)
                         assert engine_block.counts == list(naive_block.counts)
 
-    def test_empty_blocks_and_cached_recounts(self, kernel, seed, n_rows, cardinalities, skew):
+    def test_empty_blocks_and_cached_recounts(self, seed, n_rows, cardinalities, skew):
         """A parent with zero matching rows yields all-zero sizes and counts."""
         dataset, ranking = _instance(seed, n_rows, cardinalities, skew)
-        counter = PatternCounter(dataset, ranking, kernel=kernel)
+        counter = PatternCounter(dataset, ranking)
         schema = dataset.schema
         first, second = schema.attributes[0], schema.attributes[1]
         empty_parent = None
@@ -195,8 +184,8 @@ class TestKernelParity:
         for block in counter.child_blocks(empty_parent, 1):
             assert sum(block.counts) == 0
 
-    def test_detectors_bit_identical_per_kernel(self, kernel, seed, n_rows, cardinalities, skew):
-        """All three detectors produce the oracle result under every kernel."""
+    def test_detectors_bit_identical_per_kernel(self, seed, n_rows, cardinalities, skew):
+        """All three detectors produce the oracle result."""
         dataset, ranking = _instance(seed, n_rows, cardinalities, skew)
         tau_s = max(2, n_rows // 10)
         oracle_counter = PatternCounter(dataset, ranking)
@@ -208,35 +197,16 @@ class TestKernelParity:
         expected_global = brute_force_detection(
             dataset, oracle_counter, global_bound, tau_s, 2, n_rows - 1
         )
-        execution = ExecutionConfig(kernel=kernel)
         for detector, expected in (
-            (IterTDDetector(bound=bound, tau_s=tau_s, k_min=2, k_max=n_rows - 1,
-                            execution=execution), expected_prop),
-            (PropBoundsDetector(bound=bound, tau_s=tau_s, k_min=2, k_max=n_rows - 1,
-                                execution=execution), expected_prop),
+            (IterTDDetector(bound=bound, tau_s=tau_s, k_min=2, k_max=n_rows - 1),
+             expected_prop),
+            (PropBoundsDetector(bound=bound, tau_s=tau_s, k_min=2, k_max=n_rows - 1),
+             expected_prop),
             (GlobalBoundsDetector(bound=global_bound, tau_s=tau_s, k_min=2,
-                                  k_max=n_rows - 1, execution=execution), expected_global),
+                                  k_max=n_rows - 1), expected_global),
         ):
             report = detector.detect(dataset, ranking)
-            assert report.result == expected, (detector.name, kernel)
-
-
-@pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
-def test_compiled_and_numpy_engines_bit_identical():
-    """With numba present, the two kernel engines agree on every cached artifact."""
-    dataset, ranking = _instance(29, 72, [3, 2, 3], 1.0)
-    numpy_counter = PatternCounter(dataset, ranking, kernel="numpy")
-    compiled_counter = PatternCounter(dataset, ranking, kernel="compiled")
-    for k in (1, 36, 72):
-        for parent in [EMPTY_PATTERN] + list(numpy_counter.tree.children(EMPTY_PATTERN)):
-            for numpy_block, compiled_block in zip(
-                numpy_counter.child_blocks(parent, k),
-                compiled_counter.child_blocks(parent, k),
-            ):
-                assert numpy_block.sizes.tolist() == compiled_block.sizes.tolist()
-                assert numpy_block.counts == compiled_block.counts
-    for pattern in enumerate_patterns(dataset, include_empty=True):
-        assert numpy_counter.size(pattern) == compiled_counter.size(pattern)
+            assert report.result == expected, detector.name
 
 
 def test_parity_survives_cache_eviction():

@@ -19,7 +19,7 @@ import pytest
 from repro.core.bounds import GlobalBoundSpec, ProportionalBoundSpec, step_lower_bounds
 from repro.core.engine import parallel as parallel_module
 from repro.core.engine import shared as shared_module
-from repro.core.engine.parallel import ExecutionConfig, create_parallel_executor
+from repro.core.engine.parallel import ExecutionConfig, create_search_executor
 from repro.core.engine.shared import SharedDatasetView
 from repro.core.engine.sharding import estimate_subtree_weight, partition_weighted
 from repro.core.global_bounds import GlobalBoundsDetector
@@ -30,7 +30,7 @@ from repro.core.prop_bounds import PropBoundsDetector
 from repro.core.stats import SearchStats
 from repro.core.top_down import SearchState, top_down_search
 from repro.data.synthetic import SyntheticSpec, synthetic_dataset
-from repro.exceptions import DetectionError
+from repro.exceptions import ConfigurationError, DetectionError
 from repro.ranking.base import PrecomputedRanker
 
 
@@ -239,16 +239,33 @@ class TestExecutionConfig:
         assert config.block_cache_capacity is None
 
     def test_validation(self):
-        with pytest.raises(DetectionError):
+        with pytest.raises(ConfigurationError):
             ExecutionConfig(workers=-1)
-        with pytest.raises(DetectionError):
+        with pytest.raises(ConfigurationError):
             ExecutionConfig(match_cache_capacity=-1)
-        with pytest.raises(DetectionError):
+        with pytest.raises(ConfigurationError):
             ExecutionConfig(block_cache_capacity=-2)
-        with pytest.raises(DetectionError):
+        with pytest.raises(ConfigurationError):
             ExecutionConfig(sparse_threshold=-0.1)
-        with pytest.raises(DetectionError):
+        with pytest.raises(ConfigurationError):
             ExecutionConfig(start_method="thread")
+
+    @pytest.mark.parametrize(
+        "invalid",
+        [
+            {"heartbeat_interval": 0.0},
+            {"heartbeat_interval": 2.0, "heartbeat_timeout": 1.0},
+            {"shard_timeout": 0.0},
+            {"query_deadline": -1.0},
+            {"max_worker_restarts": -1},
+            {"retry_backoff": -0.1},
+            {"breaker_cooldown": -1.0},
+        ],
+        ids=lambda invalid: "-".join(invalid),
+    )
+    def test_fault_tolerance_fields_raise_configuration_error(self, invalid):
+        with pytest.raises(ConfigurationError):
+            ExecutionConfig(**invalid)
 
     def test_workers_zero_resolves_to_available_cpus(self):
         import os
@@ -270,20 +287,14 @@ class TestExecutionConfig:
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         assert ExecutionConfig(workers=0).resolved_workers() == 2
 
-    def test_unknown_kernel_and_backend_rejected_typed(self):
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            ExecutionConfig(kernel="fused")
-        with pytest.raises(ConfigurationError):
-            ExecutionConfig(backend="greenlet")
+    def test_only_the_process_backend_is_accepted(self):
+        for backend in ("greenlet", "thread", "auto"):
+            with pytest.raises(ConfigurationError):
+                ExecutionConfig(backend=backend)
         # ConfigurationError stays inside the DetectionError taxonomy.
         with pytest.raises(DetectionError):
-            ExecutionConfig(kernel="fused")
-        # The valid values all construct.
-        for kernel in ("auto", "numpy"):
-            for backend in ("auto", "process", "thread"):
-                assert ExecutionConfig(kernel=kernel, backend=backend).backend == backend
+            ExecutionConfig(backend="thread")
+        assert ExecutionConfig(backend="process").backend == "process"
 
     def test_cache_capacity_reaches_engine(self, synthetic_small, synthetic_small_ranking):
         execution = ExecutionConfig(match_cache_capacity=4, block_cache_capacity=4)
@@ -377,14 +388,14 @@ class TestSerialFallback:
         monkeypatch.setattr(parallel_module, "shared_memory_available", lambda: False)
         dataset, ranking = _instance(34, 50, [2, 2])
         counter = PatternCounter(dataset, ranking)
-        assert create_parallel_executor(counter, ExecutionConfig(workers=2)) is None
+        assert create_search_executor(counter, ExecutionConfig(workers=2)) is None
 
     def test_non_engine_counter_stays_serial(self):
         from repro.core.engine.naive import NaiveCounter
 
         dataset, ranking = _instance(35, 50, [2, 2])
         naive = NaiveCounter(dataset, ranking)
-        assert create_parallel_executor(naive, ExecutionConfig(workers=2)) is None
+        assert create_search_executor(naive, ExecutionConfig(workers=2)) is None
 
 
 # -- executor parity -----------------------------------------------------------------
@@ -440,7 +451,7 @@ class TestParallelExecutorDirect:
         counter = PatternCounter(dataset, ranking)
         bound = GlobalBoundSpec(lower_bounds=2.0)
         reference = top_down_search(counter, bound, 25, 3, SearchStats())
-        executor = create_parallel_executor(
+        executor = create_search_executor(
             PatternCounter(dataset, ranking), ExecutionConfig(workers=2)
         )
         assert executor is not None
@@ -456,7 +467,7 @@ class TestParallelExecutorDirect:
         dataset, ranking = _instance(72, 70, [2, 3, 2], 1.0)
         counter = PatternCounter(dataset, ranking)
         bound = GlobalBoundSpec(lower_bounds=2.0)
-        executor = create_parallel_executor(
+        executor = create_search_executor(
             PatternCounter(dataset, ranking), ExecutionConfig(workers=2)
         )
         assert executor is not None
@@ -489,7 +500,7 @@ class TestParallelExecutorDirect:
         counter = PatternCounter(dataset, ranking)
         bound = GlobalBoundSpec(lower_bounds=2.0)
         reference = top_down_search(counter, bound, 20, 2, SearchStats())
-        executor = create_parallel_executor(
+        executor = create_search_executor(
             PatternCounter(dataset, ranking), ExecutionConfig(workers=2)
         )
         assert executor is not None
@@ -511,7 +522,7 @@ class TestParallelExecutorDirect:
 
     def test_closed_executor_rejects_searches(self):
         dataset, ranking = _instance(74, 40, [2, 2], 1.0)
-        executor = create_parallel_executor(
+        executor = create_search_executor(
             PatternCounter(dataset, ranking), ExecutionConfig(workers=2)
         )
         assert executor is not None

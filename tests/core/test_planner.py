@@ -31,13 +31,13 @@ from repro.core.engine.parallel import ExecutionConfig
 from repro.core.planner import (
     DetectionQuery,
     ExtendStep,
-    ResultCache,
     bound_key,
     canonical_query_key,
     plan_queries,
     query_group_key,
 )
 from repro.core.result_set import DetectionResult
+from repro.core.result_store import InMemoryResultStore
 from repro.core.top_down import SweepFrontier
 from repro.core.session import AuditSession, detect_biased_groups
 from repro.data.synthetic import SyntheticSpec, synthetic_dataset
@@ -365,7 +365,7 @@ class TestResultCache:
         return DetectionResult({k: frozenset() for k in range(k_min, k_max + 1)})
 
     def test_containment_hit_and_miss(self):
-        cache = ResultCache()
+        cache = InMemoryResultStore()
         assert cache.lookup(self.FP, self.KEY, 2, 20) is None
         cache.insert(self.FP, self.KEY, DetectionQuery(FLAT, 2, 2, 20), self._result(2, 20))
         assert cache.lookup(self.FP, self.KEY, 2, 20) is not None     # exact
@@ -377,14 +377,14 @@ class TestResultCache:
         assert cache.insertions == 1
 
     def test_wider_insert_subsumes_narrower_entries(self):
-        cache = ResultCache()
+        cache = InMemoryResultStore()
         cache.insert(self.FP, self.KEY, DetectionQuery(FLAT, 2, 5, 15), self._result(5, 15))
         cache.insert(self.FP, self.KEY, DetectionQuery(FLAT, 2, 2, 20), self._result(2, 20))
         assert len(cache) == 1
         assert cache.lookup(self.FP, self.KEY, 5, 15).covers(2, 20)
 
     def test_lru_eviction(self):
-        cache = ResultCache(capacity=2)
+        cache = InMemoryResultStore(capacity=2)
         other = query_group_key(DetectionQuery(FLAT, 3, 2, 20))
         third = query_group_key(DetectionQuery(FLAT, 4, 2, 20))
         cache.insert(self.FP, self.KEY, DetectionQuery(FLAT, 2, 2, 20), self._result(2, 20))
@@ -397,17 +397,17 @@ class TestResultCache:
         assert cache.lookup(self.FP, self.KEY, 2, 20) is not None  # the refreshed stayed
 
     def test_capacity_zero_disables_storage(self):
-        cache = ResultCache(capacity=0)
+        cache = InMemoryResultStore(capacity=0)
         cache.insert(self.FP, self.KEY, DetectionQuery(FLAT, 2, 2, 20), self._result(2, 20))
         assert len(cache) == 0
         assert cache.lookup(self.FP, self.KEY, 2, 20) is None
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
-            ResultCache(capacity=-1)
+            InMemoryResultStore(capacity=-1)
 
     def test_extendable_prefers_latest_ending_frontier_base(self):
-        cache = ResultCache()
+        cache = InMemoryResultStore()
         short = DetectionQuery(FLAT, 2, 2, 10)
         longer = DetectionQuery(FLAT, 2, 2, 20)
         frontier = SweepFrontier(algorithm="global_bounds", k=10)
@@ -429,7 +429,7 @@ class TestResultCache:
         assert cache.extendable(self.FP, self.KEY, 5, 15) is None
 
     def test_frontierless_entries_never_offered_for_extension(self):
-        cache = ResultCache()
+        cache = InMemoryResultStore()
         cache.insert(self.FP, self.KEY, DetectionQuery(FLAT, 2, 2, 10), self._result(2, 10))
         assert cache.extendable(self.FP, self.KEY, 2, 40) is None
         assert cache.coverage(self.FP, self.KEY) == ()

@@ -8,8 +8,9 @@ and the engine-work counters prove the cheaper path was actually taken.
 
 The suites randomize thresholds and k ranges (seeded, so failures replay),
 cover all three refinable algorithms plus UpperBounds (never refinable —
-opposite monotone direction), exercise serial and two-worker thread/process
-backends, and round-trip v3 (evidence-less) store files through the v4 serde.
+opposite monotone direction), exercise serial and two- and three-worker
+process execution, and round-trip v3 (evidence-less) store files through the
+v4 serde.
 """
 
 from __future__ import annotations
@@ -162,14 +163,14 @@ class TestRandomizedBitIdentity:
             r.stats.full_searches for r in cold
         )
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("algorithm", ["global_bounds", "prop_bounds", "iter_td"])
-    def test_mixed_batches_match_cold_loop_with_workers(self, backend, algorithm):
+    def test_mixed_batches_match_cold_loop_with_workers(self, workers, algorithm):
         dataset, ranking = _instance(31, 420, [3, 4, 2])
         rng = np.random.default_rng(31)
         queries = _random_batch(rng, algorithm, 6)
         cold = _cold_loop(dataset, ranking, queries)
-        execution = ExecutionConfig(workers=2, backend=backend)
+        execution = ExecutionConfig(workers=workers)
         with AuditSession(dataset, ranking, execution=execution) as session:
             planned = session.run_many(queries)
         _assert_bit_identical(planned, cold)
