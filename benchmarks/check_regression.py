@@ -9,13 +9,12 @@ Two artifacts are guarded:
   (default 20%) relative to the committed baseline ratio fails the check, which
   catches changes that slow the engine down without having to compare absolute
   seconds across machines.
-* ``BENCH_planner.json`` (schema 3) — records the query planner's per-query-loop
+* ``BENCH_planner.json`` (schema 4) — records the query planner's per-query-loop
   vs planner-served comparison.  Its gates are *counters*, not ratios
-  (bit-identical results, strictly fewer root searches and batch evaluations,
-  balanced cache-hit/miss provenance, threshold tuning anchored on exactly one
-  full run with every other threshold implication-refined, two-sided extension
-  observed on both the prefix and suffix side), so they are machine-independent
-  by construction and checked exactly.
+  (bit-identical results, strictly fewer root searches and batch evaluations
+  with no more node evaluations, balanced cache-hit/miss provenance, two-sided
+  extension observed on both the prefix and suffix side), so they are
+  machine-independent by construction and checked exactly.
 
 A missing planner artifact is skipped with a note — the engine-only workflow
 stays usable.
@@ -58,17 +57,23 @@ PLANNER_GATES = (
     "partial_hits_observed",
     "extension_fewer_full_searches",
     "extension_fewer_batch_evaluations",
-    # Implication gates (artifact schema 3): threshold tuning is one anchored
-    # run plus refinements, and two-sided extension covers both directions.
+    # Threshold tuning matches its per-query loop without evaluating more
+    # nodes, and two-sided extension covers both directions.
     "tuning_results_bit_identical",
-    "tuning_implication_hits_observed",
-    "tuning_one_anchor_per_group",
-    "tuning_fewer_full_searches",
-    "tuning_fewer_batch_evaluations",
+    "tuning_nodes_evaluated_within_loop",
     "two_sided_results_bit_identical",
     "prefix_extension_observed",
     "suffix_extension_observed",
     "two_sided_fewer_batch_evaluations",
+)
+
+#: (section, served side, control side) pairs whose ``nodes_evaluated`` totals
+#: are re-checked from the raw artifact; ``None`` is the artifact's top level.
+NODE_CHECKS = (
+    (None, "planned", "per_query"),
+    ("partial_overlap", "extension", "covering_rerun"),
+    ("two_sided", "extension", "covering_rerun"),
+    ("threshold_tuning", "planned", "per_query"),
 )
 
 
@@ -153,39 +158,22 @@ def check_planner(current: dict) -> list[str]:
             f"extension did not strictly beat the covering re-run on batch "
             f"evaluations ({ext_batches!r} vs {rerun_batches!r})"
         )
-    # The implication acceptance counters, re-verified from the raw
-    # threshold-tuning section: implication hits happened, exactly one anchor
-    # per threshold group carried a store miss, and the refinement batch's
-    # engine work stayed strictly below the per-query loop's.
-    tuning = current.get("threshold_tuning") or {}
-    tuning_planned = tuning.get("planned") or {}
-    tuning_cold = tuning.get("per_query") or {}
-    n_thresholds = tuning.get("n_thresholds")
-    hits = tuning_planned.get("implication_hits")
-    if not isinstance(hits, (int, float)) or hits <= 0:
-        problems.append(
-            f"planner threshold-tuning mode observed no implication hits ({hits!r})"
-        )
-    elif isinstance(n_thresholds, int) and (
-        tuning_planned.get("result_cache_misses") != 1
-        or hits != n_thresholds - 1
-    ):
-        problems.append(
-            f"threshold tuning did not anchor exactly one full run per group "
-            f"(misses={tuning_planned.get('result_cache_misses')!r}, "
-            f"implication_hits={hits!r} of {n_thresholds} thresholds)"
-        )
-    for counter in ("full_searches", "batch_evaluations"):
-        refined_work = tuning_planned.get(counter)
-        cold_work = tuning_cold.get(counter)
+    # Node evaluations, re-verified from the raw sections: a served side that
+    # saves root searches or batch evaluations by evaluating more nodes than
+    # its control does more work, not less.
+    for section, served_key, control_key in NODE_CHECKS:
+        parent = current if section is None else current.get(section) or {}
+        served = (parent.get(served_key) or {}).get("nodes_evaluated")
+        control = (parent.get(control_key) or {}).get("nodes_evaluated")
+        where = section or "batch"
         if (
-            not isinstance(refined_work, (int, float))
-            or not isinstance(cold_work, (int, float))
-            or not refined_work < cold_work
+            not isinstance(served, (int, float))
+            or not isinstance(control, (int, float))
+            or served > control
         ):
             problems.append(
-                f"threshold tuning's refinement work did not stay strictly below "
-                f"the per-query loop on {counter} ({refined_work!r} vs {cold_work!r})"
+                f"{where} {served_key} evaluated more nodes than its {control_key} "
+                f"(nodes_evaluated {served!r} vs {control!r})"
             )
     return problems
 
@@ -225,7 +213,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     print(f"throughput regression check passed (tolerance {args.tolerance:.0%})")
     if args.planner.exists():
-        print("planner gates passed (bit-identical, strictly fewer searches/batches)")
+        print("planner gates passed (bit-identical, strictly fewer searches/batches, "
+              "no extra node evaluations)")
     return 0
 
 

@@ -13,7 +13,7 @@ import copy
 import pytest
 
 from benchmarks.bench_query_planner import run_benchmark
-from benchmarks.check_regression import PLANNER_GATES, check_planner
+from benchmarks.check_regression import NODE_CHECKS, PLANNER_GATES, check_planner
 
 
 class TestCheckPlannerLogic:
@@ -24,19 +24,24 @@ class TestCheckPlannerLogic:
             "full_searches_saved": 120,
             "batch_evaluations_saved": 4000,
         },
+        "planned": {"nodes_evaluated": 9000},
+        "per_query": {"nodes_evaluated": 30000},
         "partial_overlap": {
-            "extension": {"result_cache_partial_hits": 3, "batch_evaluations": 100},
-            "covering_rerun": {"batch_evaluations": 450},
+            "extension": {
+                "result_cache_partial_hits": 3,
+                "batch_evaluations": 100,
+                "nodes_evaluated": 800,
+            },
+            "covering_rerun": {"batch_evaluations": 450, "nodes_evaluated": 2500},
+        },
+        "two_sided": {
+            "extension": {"nodes_evaluated": 700},
+            "covering_rerun": {"nodes_evaluated": 1900},
         },
         "threshold_tuning": {
             "n_thresholds": 12,
-            "planned": {
-                "implication_hits": 11,
-                "result_cache_misses": 1,
-                "full_searches": 40,
-                "batch_evaluations": 900,
-            },
-            "per_query": {"full_searches": 480, "batch_evaluations": 10800},
+            "planned": {"nodes_evaluated": 21000},
+            "per_query": {"nodes_evaluated": 21000},
         },
     }
 
@@ -77,27 +82,18 @@ class TestCheckPlannerLogic:
         problems = check_planner(current)
         assert any("covering re-run" in problem for problem in problems)
 
-    def test_missing_implication_hits_reported(self):
+    @pytest.mark.parametrize("section,served_key,control_key", NODE_CHECKS)
+    def test_served_side_evaluating_more_nodes_reported(
+        self, section, served_key, control_key
+    ):
         current = copy.deepcopy(self.ARTIFACT)
-        current["threshold_tuning"]["planned"]["implication_hits"] = 0
-        problems = check_planner(current)
-        assert any("no implication hits" in problem for problem in problems)
-
-    def test_extra_tuning_anchor_reported(self):
-        current = copy.deepcopy(self.ARTIFACT)
-        current["threshold_tuning"]["planned"]["result_cache_misses"] = 2
-        current["threshold_tuning"]["planned"]["implication_hits"] = 10
-        problems = check_planner(current)
-        assert any("exactly one full run" in problem for problem in problems)
-
-    def test_tuning_work_not_below_loop_reported(self):
-        current = copy.deepcopy(self.ARTIFACT)
-        current["threshold_tuning"]["planned"]["batch_evaluations"] = 10800
-        problems = check_planner(current)
-        assert any(
-            "strictly below the per-query loop on batch_evaluations" in problem
-            for problem in problems
+        parent = current if section is None else current[section]
+        parent[served_key]["nodes_evaluated"] = (
+            parent[control_key]["nodes_evaluated"] + 1
         )
+        problems = check_planner(current)
+        assert len(problems) == 1
+        assert "evaluated more nodes" in problems[0]
 
     def test_failed_warm_store_gate_reported(self):
         current = copy.deepcopy(self.ARTIFACT)

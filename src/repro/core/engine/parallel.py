@@ -299,12 +299,7 @@ def _run_shard(counter, roots: list[Pattern], bound, k: int, tau_s: int, classif
     delta = {name: after[name] - before.get(name, 0) for name in after}
     if not classification:
         minimal = minimal_patterns(state.below)
-        # The reduced state is result-equivalent but not the full classification:
-        # mark it incomplete so downstream evidence capture never snapshots it.
-        state = SearchState(
-            below={pattern: state.below[pattern] for pattern in minimal},
-            complete=False,
-        )
+        state = SearchState(below={pattern: state.below[pattern] for pattern in minimal})
     return state, stats, delta
 
 

@@ -4,7 +4,7 @@ The paper's workloads are inherently multi-query: IterTD re-runs Algorithm 1 per
 ``k``, and the evaluation figures sweep ``tau_s``, k ranges and bounds over one
 fixed ranking.  When such a batch reaches the session as individual
 :class:`DetectionQuery` values, executing each one as an isolated search wastes
-work in three distinct ways, each addressed by one layer of this module:
+work in four distinct ways, each addressed by one layer of this module:
 
 * **Canonicalization + dedupe** — the same question asked twice (possibly through
   ``algorithm="auto"`` vs its resolved name, or through structurally equal bound
@@ -24,8 +24,15 @@ work in three distinct ways, each addressed by one layer of this module:
 * **Partial-hit planning** — when the caller supplies a *coverage* view of its
   store, a query whose range only partially overlaps a cached sweep plans an
   :class:`ExtendStep`: the session resumes the cached sweep's
-  :class:`~repro.core.top_down.SweepFrontier` over the uncovered k suffix
-  instead of re-running the whole covering range.
+  :class:`~repro.core.top_down.SweepFrontier` over the uncovered k suffix, and
+  runs a bounded cold sub-sweep over an uncovered k prefix, instead of
+  re-running the whole covering range.
+
+Queries that differ only in their threshold (a tuning sweep over ``alpha`` or a
+constant ``L``) are separate steps: each distinct threshold runs its own sweep
+on the session's warm engine.  GlobalBounds and PropBounds get their speed from
+reusing work from one k to the next, and a per-threshold sweep keeps that reuse
+intact.
 
 Plan steps are ordered by ``tau_s`` (ties by first appearance in the batch) so
 that the executor's per-``tau_s`` shard assignments and the engine's sibling
@@ -57,18 +64,9 @@ from repro.core.result_store import (  # noqa: F401  (re-exported)
     ResultStore,
     StoreEntry,
     extension_gain,
-    is_extension_base,
     shared_result_store,
 )
 from repro.core.upper_bounds import UpperBoundsDetector
-from repro.exceptions import BoundSpecError
-
-#: Algorithms whose sweeps can serve tighter bounds by refinement: their per-k
-#: below-set evidence is captured by :class:`~repro.core.top_down.SweepAssembler`
-#: and re-partitioned by :func:`~repro.core.top_down.refine_sweep`.  UpperBounds
-#: audits the opposite monotone direction (patterns *above* an upper level), so
-#: its sweeps are reused by containment and extension only.
-REFINABLE_ALGORITHMS = frozenset({"iter_td", "global_bounds", "prop_bounds"})
 
 #: Algorithm names accepted by :class:`DetectionQuery`, mapped to detector classes.
 DETECTOR_CLASSES = {
@@ -227,87 +225,6 @@ def canonical_query_key(query: DetectionQuery) -> tuple:
     return (query_group_key(query), query.k_min, query.k_max)
 
 
-# -- bound implication ---------------------------------------------------------------
-def query_family_key(query: DetectionQuery) -> tuple | None:
-    """The containment-lattice family of a query, or ``None`` when it has none.
-
-    Two queries of the same family ask the same question up to the *level* of
-    the lower bound: same resolved algorithm, same ``tau_s``, and — for global
-    bounds — equal upper levels, for proportional bounds equal ``beta``.
-    Within a family the cached sweeps form a lattice ordered by bound
-    implication (:func:`query_implies`): a weaker member's evidence answers any
-    tighter member by refinement.  Callable schedules have no comparable
-    structure and opt out, as does ``upper_bounds`` (see
-    :data:`REFINABLE_ALGORITHMS`).
-    """
-    algorithm = query.resolved_algorithm()
-    if algorithm not in REFINABLE_ALGORITHMS:
-        return None
-    bound = query.effective_bound()
-    if isinstance(bound, GlobalBoundSpec):
-        if callable(bound.lower_bounds):
-            return None
-        return ("global", _bound_values_key(bound.upper_bounds), query.tau_s, algorithm)
-    if isinstance(bound, ProportionalBoundSpec):
-        return (
-            "proportional",
-            None if bound.beta is None else float(bound.beta),
-            query.tau_s,
-            algorithm,
-        )
-    return None
-
-
-def query_implies(anchor: DetectionQuery, query: DetectionQuery) -> bool:
-    """Whether ``anchor``'s cached classification can be refined into ``query``.
-
-    True when both queries share a family and the anchor's lower bound is
-    pointwise >= the query's over the query's k range — then every pattern below
-    the query's bound is also below the anchor's, so the anchor's per-k
-    below-sets contain (as leaves or as subtree roots) everything the tighter
-    query reports, which is exactly the precondition of
-    :func:`~repro.core.top_down.refine_sweep`.  For proportional bounds the
-    pointwise comparison reduces to ``alpha' <= alpha``.  The check is
-    range-aware but deliberately ignores the anchor's *own* range: whether
-    evidence covers the query's ks is re-validated against the concrete
-    frontier at execution time.
-    """
-    family = query_family_key(anchor)
-    if family is None or family != query_family_key(query):
-        return False
-    anchor_bound = anchor.effective_bound()
-    query_bound = query.effective_bound()
-    if isinstance(anchor_bound, ProportionalBoundSpec):
-        return float(query_bound.alpha) <= float(anchor_bound.alpha)
-    try:
-        return all(
-            query_bound.lower(k, 0, 1) <= anchor_bound.lower(k, 0, 1)
-            for k in range(query.k_min, query.k_max + 1)
-        )
-    except BoundSpecError:
-        # A schedule undefined at some asked k cannot anchor (or be) this query.
-        return False
-
-
-def _query_weakness(query: DetectionQuery) -> float:
-    """A scalar ordering proxy: larger = weaker bound = larger below-sets.
-
-    Used only to order refinements weakest-first (tightest last, for cache
-    affinity) — correctness never depends on it.
-    """
-    bound = query.effective_bound()
-    if isinstance(bound, ProportionalBoundSpec):
-        return float(bound.alpha)
-    try:
-        lowers = [
-            float(bound.lower(k, 0, 1))
-            for k in range(query.k_min, query.k_max + 1)
-        ]
-    except BoundSpecError:
-        return 0.0
-    return sum(lowers) / len(lowers)
-
-
 # -- plans --------------------------------------------------------------------------
 @dataclass(frozen=True)
 class PlanStep:
@@ -362,27 +279,6 @@ class ExtendStep(PlanStep):
 
 
 @dataclass(frozen=True)
-class RefineStep(PlanStep):
-    """A plan step served by *refining* a weaker anchor sweep's evidence.
-
-    Planned when the batch contains (or, at execution time, the store holds) a
-    same-family sweep whose lower bound implies this step's
-    (:func:`query_implies`).  The anchor — identified by its group key and
-    covering range — runs first; this step then re-partitions the anchor's
-    per-k below-set evidence under its tighter bound and explores only the
-    promoted subtrees (:func:`~repro.core.top_down.refine_sweep`), paying no
-    root search.  The session re-validates the anchor at execution time
-    (present, implication still holds, evidence covers the range); any mismatch
-    degrades the step to a plain covering run, so a stale plan can cost time
-    but never correctness.
-    """
-
-    anchor_group_key: tuple = field(default=(), repr=False)
-    anchor_k_min: int = 0
-    anchor_k_max: int = 0
-
-
-@dataclass(frozen=True)
 class QueryPlan:
     """The execution plan of one query batch.
 
@@ -428,14 +324,14 @@ class QueryPlan:
 
     @property
     def refine_steps(self) -> int:
-        """Steps planned as implication refinements of a weaker anchor sweep."""
-        return sum(1 for step in self.steps if isinstance(step, RefineStep))
+        # Always 0; kept only because perfbench/tracing.py reads this name.
+        return 0
 
     def describe(self) -> str:
         lines = [
             f"plan: {self.n_queries} queries -> {self.n_steps} steps "
             f"({self.deduped_queries} deduped, {self.merged_ranges} ranges merged, "
-            f"{self.extension_steps} extensions, {self.refine_steps} refinements)"
+            f"{self.extension_steps} extensions)"
         ]
         for position, step in enumerate(self.steps):
             query = step.query
@@ -449,10 +345,6 @@ class QueryPlan:
                 suffix = (
                     f" extends cached [{step.base_k_min}, {step.base_k_max}]"
                     f" ({', '.join(sides) or 'adjacent'} k values)"
-                )
-            elif isinstance(step, RefineStep):
-                suffix = (
-                    f" refines anchor [{step.anchor_k_min}, {step.anchor_k_max}]"
                 )
             lines.append(
                 f"  step {position}: {query.resolved_algorithm()} tau_s={query.tau_s} "
@@ -567,127 +459,10 @@ def plan_queries(
             else:
                 steps.append(PlanStep(**step_fields))
 
-    # 3. Implication pass: within each containment-lattice family, anchor one
-    # covering run at the weakest requested threshold and serve the others as
-    # refinements of its evidence.
-    _plan_refinements(steps, coverage)
-
-    # 4. Execution order: ascending tau_s, ties by first appearance in the batch,
+    # 3. Execution order: ascending tau_s, ties by first appearance in the batch,
     # so the executor's per-tau_s shard assignments are reused back-to-back.
-    # Refinements sort directly after their anchor (they consume its evidence
-    # while it is hot), ordered weakest-first so the tightest bound runs last.
-    anchors = {
-        (step.group_key, step.query.k_min, step.query.k_max): min(step.serves)
-        for step in steps
-    }
-
-    def execution_key(step: PlanStep) -> tuple:
-        if isinstance(step, RefineStep):
-            anchor_serve = anchors.get(
-                (step.anchor_group_key, step.anchor_k_min, step.anchor_k_max),
-                min(step.serves),
-            )
-            return (
-                step.query.tau_s,
-                anchor_serve,
-                1,
-                -_query_weakness(step.query),
-                min(step.serves),
-            )
-        return (step.query.tau_s, min(step.serves), 0, 0.0, min(step.serves))
-
-    steps.sort(key=execution_key)
+    steps.sort(key=lambda step: (step.query.tau_s, step.primary_index))
     return QueryPlan(queries=queries, steps=tuple(steps))
-
-
-def _plan_refinements(steps: list[PlanStep], coverage: CoverageFn | None) -> None:
-    """Rewrite same-family steps into anchored :class:`RefineStep` groups, in place.
-
-    Greedy lattice cover: within each family (:func:`query_family_key`), pick
-    the step whose bound implies the most other steps' bounds as the anchor,
-    absorb every implied step whose range keeps the anchor's covering range
-    contiguous (widening the anchor when needed — the widened ks are always ks
-    some absorbed member asked for), and repeat on the remainder, so a batch
-    with several incomparable thresholds forms several anchor groups.  Steps
-    left over stay as planned; the session may still serve them by refining a
-    weaker sweep found in the result store at execution time.
-    """
-    families: "OrderedDict[tuple, list[int]]" = OrderedDict()
-    for position, step in enumerate(steps):
-        family = query_family_key(step.query)
-        if family is not None:
-            families.setdefault(family, []).append(position)
-    for positions in families.values():
-        pool = list(positions)
-        while len(pool) >= 2:
-            implied_of = {
-                i: [
-                    j
-                    for j in pool
-                    if j != i and query_implies(steps[i].query, steps[j].query)
-                ]
-                for i in pool
-            }
-            anchor_position = max(
-                pool, key=lambda i: (len(implied_of[i]), -min(steps[i].serves))
-            )
-            members = implied_of[anchor_position]
-            if not members:
-                break
-            anchor = steps[anchor_position]
-            lo, hi = anchor.query.k_min, anchor.query.k_max
-            # Absorb implied members while the union of ranges stays gap-free;
-            # members that would force the anchor to compute unasked gap ks are
-            # left for the next round (or as plain steps).
-            chosen: list[int] = []
-            remaining = sorted(members, key=lambda j: steps[j].query.k_min)
-            changed = True
-            while changed:
-                changed = False
-                for j in list(remaining):
-                    member = steps[j].query
-                    if member.k_min <= hi + 1 and member.k_max >= lo - 1:
-                        lo = min(lo, member.k_min)
-                        hi = max(hi, member.k_max)
-                        chosen.append(j)
-                        remaining.remove(j)
-                        changed = True
-            if not chosen:
-                pool.remove(anchor_position)
-                continue
-            if (lo, hi) != (anchor.query.k_min, anchor.query.k_max):
-                widened = replace(anchor.query, k_min=lo, k_max=hi)
-                base = (
-                    _extension_base(coverage(anchor.group_key), lo, hi)
-                    if coverage is not None
-                    else None
-                )
-                step_fields = dict(
-                    query=widened,
-                    group_key=anchor.group_key,
-                    serves=anchor.serves,
-                    merged_ranges=anchor.merged_ranges,
-                    deduped_queries=anchor.deduped_queries,
-                )
-                if base is not None:
-                    steps[anchor_position] = ExtendStep(
-                        **step_fields, base_k_min=base[0], base_k_max=base[1]
-                    )
-                else:
-                    steps[anchor_position] = PlanStep(**step_fields)
-            for j in chosen:
-                member = steps[j]
-                steps[j] = RefineStep(
-                    query=member.query,
-                    group_key=member.group_key,
-                    serves=member.serves,
-                    merged_ranges=member.merged_ranges,
-                    deduped_queries=member.deduped_queries,
-                    anchor_group_key=anchor.group_key,
-                    anchor_k_min=lo,
-                    anchor_k_max=hi,
-                )
-            pool = [i for i in pool if i != anchor_position and i not in chosen]
 
 
 # -- cross-query result reuse -------------------------------------------------------

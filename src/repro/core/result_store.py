@@ -15,13 +15,13 @@ their resume frontiers) outlive a query, a session and a process:
   ``shared_result_store()`` shares one cache, so repeated audits of the same
   ranking anywhere in the process reuse each other's sweeps.
 * :class:`DiskResultStore` — an on-disk store built on the sweep serde
-  (:func:`repro.core.serialization.sweep_to_dict`, format v4; v3 files are
-  still readable and degrade to ordinary non-refinable hits).  Entries are
+  (:func:`repro.core.serialization.sweep_to_dict`, format v5).  Entries are
   keyed by ``Dataset.fingerprint()`` + the canonical query, so a fresh process
-  auditing the same ranking starts warm.  Corrupted files, stale format
-  versions and fingerprint mismatches degrade to cache misses, never errors.
+  auditing the same ranking starts warm.  Corrupted files, older format
+  versions and fingerprint mismatches degrade to quarantined cache misses,
+  never errors.
 
-Every backend answers four questions about a ``(fingerprint, group)`` pair:
+Every backend answers three questions about a ``(fingerprint, group)`` pair:
 
 * :meth:`~ResultStore.lookup` — *containment*: a cached sweep whose k range
   contains the asked range, served by restriction;
@@ -30,10 +30,6 @@ Every backend answers four questions about a ``(fingerprint, group)`` pair:
   suffix by :class:`~repro.core.top_down.SweepFrontier` resume, a missing
   prefix by a bounded cold re-run — so the session computes only the
   uncovered k values;
-* :meth:`~ResultStore.refinable` — *implication*: a weaker same-family anchor
-  (:func:`~repro.core.planner.query_family_key`) whose frontier carries per-k
-  below/size evidence covering the asked range, refinable to the tighter
-  bound without a fresh root search;
 * :meth:`~ResultStore.coverage` — the frontier-bearing ranges alone, which is
   what :func:`repro.core.planner.plan_queries` consults to plan
   :class:`~repro.core.planner.ExtendStep` instead of a full re-run.
@@ -56,7 +52,7 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 try:  # pragma: no cover - present on every POSIX build
     import fcntl as _fcntl
@@ -104,12 +100,11 @@ class ResultStore(abc.ABC):
     """
 
     def __init__(self) -> None:
-        #: Containment hits / misses, extension (partial) hits, implication
-        #: (refinement) hits, insertions and capacity evictions, store-wide.
+        #: Containment hits / misses, extension (partial) hits, insertions and
+        #: capacity evictions, store-wide.
         self.hits = 0
         self.misses = 0
         self.partial_hits = 0
-        self.refine_hits = 0
         self.insertions = 0
         self.evictions = 0
 
@@ -131,25 +126,11 @@ class ResultStore(abc.ABC):
 
         Qualification is :func:`extension_gain`; among qualifying entries the
         one serving the most cached k values wins (ties: latest-ending).  A
-        base that leaves a k *suffix* to compute must carry a resumable
+        base that leaves a k *suffix* to compute must carry a
         :class:`~repro.core.top_down.SweepFrontier`; a prefix-only base needs
         no frontier (the prefix is a bounded cold re-run).  Counts one partial
         hit on success and nothing on failure — the caller only reaches this
         after :meth:`lookup` already counted the miss.
-        """
-
-    @abc.abstractmethod
-    def refinable(self, fingerprint: str, query: "DetectionQuery") -> StoreEntry | None:
-        """The best weaker anchor whose evidence can be refined into ``query``.
-
-        Scans the query's containment-lattice family
-        (:func:`~repro.core.planner.query_family_key`) for an entry whose bound
-        implies the query's (:func:`~repro.core.planner.query_implies`) and
-        whose frontier carries implication evidence covering the query's k
-        range.  Among qualifying anchors the *tightest* wins — fewer promoted
-        patterns, so the cheapest refinement.  Counts one refine hit on
-        success and nothing on failure.  Backends return ``None`` for queries
-        without a family.
         """
 
     @abc.abstractmethod
@@ -182,18 +163,6 @@ class ResultStore(abc.ABC):
     @abc.abstractmethod
     def clear(self) -> None:
         """Drop every entry (the counters are preserved)."""
-
-
-def is_extension_base(entry_min: int, entry_max: int, k_min: int, k_max: int) -> bool:
-    """Whether a cached ``[entry_min, entry_max]`` can seed a *suffix* extension.
-
-    The base must cover the asked start (``entry_min <= k_min``), end short of
-    the asked end (``entry_max < k_max``) and leave no gap before the asked
-    start (``k_min <= entry_max + 1``), so the merged sweep stays contiguous.
-    Kept as the suffix-only special case of :func:`extension_gain` (the shared
-    two-sided predicate).
-    """
-    return entry_min <= k_min <= entry_max + 1 and entry_max < k_max
 
 
 def extension_gain(entry_min: int, entry_max: int, k_min: int, k_max: int) -> int | None:
@@ -282,9 +251,7 @@ class InMemoryResultStore(ResultStore):
                 gain = extension_gain(entry_min, entry_max, k_min, k_max)
                 if gain is None:
                     continue
-                if entry_max < k_max and (
-                    entry.frontier is None or not entry.frontier.resumable
-                ):
+                if entry_max < k_max and entry.frontier is None:
                     # A missing suffix needs a frontier resume; prefix-only
                     # bases get by without one.
                     continue
@@ -298,33 +265,9 @@ class InMemoryResultStore(ResultStore):
             self.partial_hits += 1
             return self._entries[best_key]
 
-    def refinable(self, fingerprint: str, query: "DetectionQuery") -> StoreEntry | None:
-        # Imported lazily to avoid the planner <-> store import cycle.
-        from repro.core.planner import _query_weakness, query_family_key, query_implies
-
-        if query_family_key(query) is None:
-            return None
-        with self._lock:
-            best_key = None
-            best_weakness = None
-            for key, entry in self._entries.items():
-                entry_fingerprint, _, entry_min, entry_max = key
-                if (
-                    entry_fingerprint != fingerprint
-                    or entry.frontier is None
-                    or not entry.frontier.covers_evidence(query.k_min, query.k_max)
-                    or not query_implies(entry.query, query)
-                ):
-                    continue
-                weakness = _query_weakness(entry.query)
-                if best_weakness is None or weakness < best_weakness:
-                    best_key = key
-                    best_weakness = weakness
-            if best_key is None:
-                return None
-            self._entries.move_to_end(best_key)
-            self.refine_hits += 1
-            return self._entries[best_key]
+    # Never called; kept only because perfbench/tracing.py patches this name.
+    def refinable(self, fingerprint: str, query: "DetectionQuery") -> None:
+        return None
 
     def insert(
         self,
@@ -430,15 +373,10 @@ def clear_shared_result_stores() -> None:
 
     The bulk form of :func:`discard_shared_result_store`: unlinks every name so
     the registry holds nothing, without touching store instances sessions still
-    reference.  (Kept under its historical alias
-    :func:`reset_shared_result_stores` for existing callers.)
+    reference.
     """
     with _SHARED_STORES_LOCK:
         _SHARED_STORES.clear()
-
-
-#: Historical name of :func:`clear_shared_result_stores` (test isolation helper).
-reset_shared_result_stores = clear_shared_result_stores
 
 
 # -- on-disk store ------------------------------------------------------------------
@@ -458,20 +396,12 @@ def _storable_key(value) -> bool:
 
 
 class DiskResultStore(ResultStore):
-    """On-disk result store: one JSON sweep file (format v4) per covering sweep.
+    """On-disk result store: one JSON sweep file (format v5) per covering sweep.
 
     ``directory`` is created on first use.  File names are
     ``<digest>_<k_min>_<k_max>.json`` where the digest hashes the dataset
     fingerprint plus the canonical group key, so lookups scan only the files of
-    the asked group and never deserialise another dataset's entries.  Sweeps
-    whose query belongs to a containment-lattice family
-    (:func:`~repro.core.planner.query_family_key`) get the longer form
-    ``<digest>_<family_digest>_<k_min>_<k_max>.json``, so
-    :meth:`refinable` can glob a whole family — every threshold of one bound
-    shape — without knowing the individual group keys; both forms are parsed
-    by every scan, and inserting over a legacy short-named entry of the same
-    range replaces it (the subsumption unlink below treats an equal range as
-    contained).  Every
+    the asked group and never deserialise another dataset's entries.  Every
     loaded payload is *re-validated* — format version, dataset fingerprint and
     group key must all match — so a renamed, truncated, corrupted or
     stale-format file degrades to a cache miss (counted in
@@ -571,28 +501,15 @@ class DiskResultStore(ResultStore):
         payload = json.dumps([fingerprint, group_key], sort_keys=True, default=str)
         return hashlib.blake2b(payload.encode("utf-8"), digest_size=16).hexdigest()
 
-    @staticmethod
-    def _family_digest(fingerprint: str, family_key: tuple) -> str:
-        payload = json.dumps([fingerprint, family_key], sort_keys=True, default=str)
-        return hashlib.blake2b(payload.encode("utf-8"), digest_size=8).hexdigest()
-
     def _candidates(self, digest: str) -> list[tuple[int, int, Path]]:
-        """The ``(k_min, k_max, path)`` entries filed under ``digest``.
-
-        Accepts both stem forms: legacy ``<digest>_<k_min>_<k_max>`` and the
-        family-tagged ``<digest>_<family_digest>_<k_min>_<k_max>``.
-        """
+        """The ``(k_min, k_max, path)`` entries filed under ``digest``."""
         candidates = []
         for path in self._directory.glob(f"{digest}_*.json"):
             parts = path.stem.split("_")
-            if len(parts) == 3:
-                k_parts = parts[1], parts[2]
-            elif len(parts) == 4:
-                k_parts = parts[2], parts[3]
-            else:
+            if len(parts) != 3:
                 continue
             try:
-                candidates.append((int(k_parts[0]), int(k_parts[1]), path))
+                candidates.append((int(parts[1]), int(parts[2]), path))
             except ValueError:
                 continue
         return candidates
@@ -661,9 +578,7 @@ class DiskResultStore(ResultStore):
             entry = self._load(path, fingerprint, group_key, entry_min, entry_max)
             if entry is None:
                 continue
-            if entry_max < k_max and (
-                entry.frontier is None or not entry.frontier.resumable
-            ):
+            if entry_max < k_max and entry.frontier is None:
                 # A missing suffix needs a frontier resume; prefix-only
                 # bases get by without one.
                 continue
@@ -671,70 +586,6 @@ class DiskResultStore(ResultStore):
             self._touch(path)
             return entry
         return None
-
-    def refinable(self, fingerprint: str, query: "DetectionQuery") -> StoreEntry | None:
-        # Imported lazily to avoid the planner <-> store import cycle.
-        from repro.core.planner import _query_weakness, query_family_key, query_implies
-
-        family_key = query_family_key(query)
-        if family_key is None:
-            return None
-        family_digest = self._family_digest(fingerprint, family_key)
-        best = best_weakness = best_path = None
-        for path in self._directory.glob(f"*_{family_digest}_*_*.json"):
-            parts = path.stem.split("_")
-            if len(parts) != 4 or parts[1] != family_digest:
-                continue
-            try:
-                entry_min, entry_max = int(parts[2]), int(parts[3])
-            except ValueError:
-                continue
-            entry = self._load_family(path, fingerprint, family_key, entry_min, entry_max)
-            if (
-                entry is None
-                or entry.frontier is None
-                or not entry.frontier.covers_evidence(query.k_min, query.k_max)
-                or not query_implies(entry.query, query)
-            ):
-                continue
-            weakness = _query_weakness(entry.query)
-            if best_weakness is None or weakness < best_weakness:
-                best, best_weakness, best_path = entry, weakness, path
-        if best is None:
-            return None
-        self._touch(best_path)
-        self.refine_hits += 1
-        return best
-
-    def _load_family(
-        self, path: Path, fingerprint: str, family_key: tuple,
-        entry_min: int, entry_max: int,
-    ) -> StoreEntry | None:
-        """Load and re-validate one family-tagged sweep file for :meth:`refinable`.
-
-        Mirrors :meth:`_load` but validates the containment-lattice family key
-        instead of the (unknown, per-threshold) group key — the caller scans a
-        whole family, whose members differ exactly in their bound constants.
-        """
-        # Imported lazily to avoid the planner <-> store import cycle.
-        from repro.core.planner import query_family_key
-
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            entry_fingerprint, query, result, frontier = sweep_from_dict(payload)
-        except (OSError, json.JSONDecodeError, DetectionError):
-            self.unreadable_entries += 1
-            self._quarantine(path)
-            return None
-        if (
-            entry_fingerprint != fingerprint
-            or query_family_key(query) != family_key
-            or (query.k_min, query.k_max) != (entry_min, entry_max)
-        ):
-            self.unreadable_entries += 1
-            self._quarantine(path)
-            return None
-        return StoreEntry(query=query, result=result, frontier=frontier)
 
     @staticmethod
     def _touch(path: Path) -> None:
@@ -764,16 +615,7 @@ class DiskResultStore(ResultStore):
             # a store insert crash the serving session.
             self.skipped_inserts += 1
             return
-        # Imported lazily to avoid the planner <-> store import cycle.
-        from repro.core.planner import query_family_key
-
-        family_key = query_family_key(query)
-        if family_key is None:
-            name = f"{digest}_{query.k_min}_{query.k_max}.json"
-        else:
-            family_digest = self._family_digest(fingerprint, family_key)
-            name = f"{digest}_{family_digest}_{query.k_min}_{query.k_max}.json"
-        path = self._directory / name
+        path = self._directory / f"{digest}_{query.k_min}_{query.k_max}.json"
         temporary = path.with_name(path.name + f".tmp{os.getpid()}")
         with self._writer_lock():
             temporary.write_text(
@@ -835,8 +677,3 @@ class DiskResultStore(ResultStore):
                         path.unlink()
                     except OSError:
                         pass
-
-
-def iter_backends() -> Iterable[type[ResultStore]]:
-    """The built-in store backends (introspection / docs helper)."""
-    return (InMemoryResultStore, DiskResultStore)

@@ -16,14 +16,14 @@ generation at which each shape was introduced):
   payloads additionally record :data:`REPORT_FORMAT_VERSION` (v2, where the
   bound became structured; version-1 files stored ``repr(bound)``, which cannot
   be parsed back);
-* a *sweep* payload (``sweep_to_dict``, :data:`SWEEP_FORMAT_VERSION` = v4) — one
+* a *sweep* payload (``sweep_to_dict``, :data:`SWEEP_FORMAT_VERSION` = v5) — one
   finished covering k-sweep as stored by the persistent result store
   (:mod:`repro.core.result_store`): the dataset fingerprint, the canonical
   query that produced the sweep, the per-k result sets and the
   :class:`~repro.core.top_down.SweepFrontier` from which the sweep can be
-  extended to a larger ``k_max`` — and, since v4, *refined* to tighter lower
-  bounds via its implication evidence — in another session or process.
-  Version-3 files load as non-refinable entries.
+  extended to a larger ``k_max`` in another session or process.  Only the
+  current version loads; the store turns an older file into a quarantined
+  miss.
 
 ``load_result`` reads the per-k groups of the result/report shapes;
 :func:`load_report` round-trips the full report payload into a
@@ -55,16 +55,11 @@ FORMAT_VERSION = 1
 REPORT_FORMAT_VERSION = 2
 
 #: Format identifier of the *sweep* payload — one persistent result-store entry
-#: (canonical query + per-k result sets + resume frontier).  Version 3 is the
-#: generation at which sweeps became storable values; version 4 enriched the
-#: frontier with per-k implication evidence (below-set snapshots + sizes) and a
-#: resumability flag.  Version-3 files still load — they simply degrade to
-#: ordinary, non-refinable entries — while any other version is unusable (the
-#: store degrades it to a cache miss).
-SWEEP_FORMAT_VERSION = 4
-
-#: Oldest sweep payload generation the loader still accepts.
-MIN_SWEEP_FORMAT_VERSION = 3
+#: (canonical query + per-k result sets + resume frontier).  Only this version
+#: loads: a v4 file may hold a frontier with empty state tables that must never
+#: seed a resume, so older files are unusable (the store degrades them to
+#: quarantined cache misses).
+SWEEP_FORMAT_VERSION = 5
 
 
 def pattern_to_dict(pattern: Pattern) -> dict[str, object]:
@@ -203,22 +198,14 @@ def _pattern_counts_from_list(data) -> dict[Pattern, int]:
 
 
 def frontier_to_dict(frontier: SweepFrontier) -> dict[str, object]:
-    """A JSON-compatible representation of a sweep's resume frontier (v4 shape)."""
-    payload: dict[str, object] = {
+    """A JSON-compatible representation of a sweep's resume frontier."""
+    return {
         "algorithm": frontier.algorithm,
         "k": int(frontier.k),
         "below": _pattern_counts_to_list(frontier.below),
         "expanded": _pattern_counts_to_list(frontier.expanded),
         "sizes": _pattern_counts_to_list(frontier.sizes),
-        "resumable": bool(frontier.resumable),
     }
-    if frontier.evidence is not None and frontier.evidence_sizes is not None:
-        payload["evidence"] = {
-            str(k): _pattern_counts_to_list(below)
-            for k, below in sorted(frontier.evidence.items())
-        }
-        payload["evidence_sizes"] = _pattern_counts_to_list(frontier.evidence_sizes)
-    return payload
 
 
 def frontier_from_dict(data: Mapping[str, object]) -> SweepFrontier:
@@ -238,39 +225,12 @@ def frontier_from_dict(data: Mapping[str, object]) -> SweepFrontier:
             "malformed frontier payload: missing 'algorithm', numeric 'k' or "
             "one of the below/expanded/sizes state tables"
         ) from None
-    evidence_raw = data.get("evidence")
-    evidence: dict[int, dict[Pattern, int]] | None = None
-    evidence_sizes: dict[Pattern, int] | None = None
-    if evidence_raw is not None:
-        if not isinstance(evidence_raw, Mapping):
-            raise DetectionError("malformed frontier payload: 'evidence' is not a mapping")
-        evidence = {}
-        for k_text, below in evidence_raw.items():
-            try:
-                evidence[int(k_text)] = _pattern_counts_from_list(below)
-            except (TypeError, ValueError):
-                raise DetectionError(
-                    f"malformed frontier payload: bad evidence k value {k_text!r}"
-                ) from None
-        evidence_sizes = _pattern_counts_from_list(data.get("evidence_sizes"))
-        # Refinement re-evaluates pattern-dependent bounds against these sizes;
-        # a file that lost entries would crash mid-refinement, so reject it.
-        witnessed = set().union(*(below.keys() for below in evidence.values())) if evidence else set()
-        if not witnessed <= evidence_sizes.keys():
-            raise DetectionError(
-                "malformed frontier payload: evidence patterns missing from 'evidence_sizes'"
-            )
     frontier = SweepFrontier(
         algorithm=algorithm,
         k=k,
         below=_pattern_counts_from_list(below_raw),
         expanded=_pattern_counts_from_list(expanded_raw),
         sizes=_pattern_counts_from_list(sizes_raw),
-        # Pre-v4 payloads carry neither flag nor evidence: they stay resumable
-        # (the v3 contract) and degrade to non-refinable.
-        resumable=bool(data.get("resumable", True)),
-        evidence=evidence,
-        evidence_sizes=evidence_sizes,
     )
     # The incremental detectors index sizes by their tracked patterns; a file
     # that lost entries would crash (or corrupt) a resume, so reject it here.
@@ -289,7 +249,7 @@ def sweep_to_dict(
     result: DetectionResult,
     frontier: SweepFrontier | None,
 ) -> dict[str, object]:
-    """One persistent result-store entry (current format, v4).
+    """One persistent result-store entry (current format, v5).
 
     ``query`` is the canonical :class:`~repro.core.planner.DetectionQuery` whose
     covering sweep is being stored; its bound must serialise structurally
@@ -338,13 +298,10 @@ def sweep_from_dict(data: Mapping[str, object]):
     if not isinstance(data, Mapping):
         raise DetectionError("malformed sweep payload: expected a mapping")
     version = data.get("sweep_format_version")
-    if (
-        not isinstance(version, int)
-        or not MIN_SWEEP_FORMAT_VERSION <= version <= SWEEP_FORMAT_VERSION
-    ):
+    if version != SWEEP_FORMAT_VERSION:
         raise DetectionError(
             f"unsupported sweep format version {version!r}; expected "
-            f"{MIN_SWEEP_FORMAT_VERSION}..{SWEEP_FORMAT_VERSION}"
+            f"{SWEEP_FORMAT_VERSION}"
         )
     fingerprint = data.get("fingerprint")
     if not isinstance(fingerprint, str) or not fingerprint:

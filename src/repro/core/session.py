@@ -36,12 +36,9 @@ infrastructure warm across queries:
   single search; a query that only *partially* overlaps a cached sweep is
   served by a two-sided k extension (an
   :class:`~repro.core.planner.ExtendStep`) — the missing suffix by frontier
-  resume, the missing prefix by a bounded cold re-run, spliced bit-identically;
-  and a query whose bound is *implied* by a cached weaker same-family sweep
-  (a :class:`~repro.core.planner.RefineStep`, or an opportunistic
-  :meth:`~repro.core.result_store.ResultStore.refinable` hit on any plain
-  step) is refined from the anchor's per-k below/size evidence without a
-  fresh root search.  The default store is a private
+  resume, the missing prefix by a bounded cold re-run, spliced bit-identically.
+  A query at a new threshold is served like a cold query: by its own sweep on
+  the warm engine.  The default store is a private
   in-memory LRU; pass ``store=shared_result_store()`` or a
   :class:`~repro.core.result_store.DiskResultStore` to reuse sweeps across
   sessions and processes;
@@ -92,15 +89,12 @@ from repro.core.planner import (
     ExtendStep,
     PlanStep,
     QueryPlan,
-    RefineStep,
     plan_queries,
-    query_family_key,
-    query_implies,
 )
 from repro.core.result_set import DetectionResult
-from repro.core.result_store import InMemoryResultStore, ResultStore, StoreEntry
+from repro.core.result_store import InMemoryResultStore, ResultStore
 from repro.core.stats import SearchStats
-from repro.core.top_down import SweepOutcome, refine_sweep, top_down_search
+from repro.core.top_down import SweepOutcome, top_down_search
 from repro.data.dataset import Dataset
 from repro.exceptions import (
     ConcurrentSessionUseError,
@@ -351,14 +345,9 @@ class AuditSession:
                 coverage=lambda group_key: self._store.coverage(fingerprint, group_key),
             )
             reports: list[DetectionReport | None] = [None] * len(batch)
-            # Outcomes executed *in this batch*, keyed like store entries
-            # ((group key, k range) -> StoreEntry).  RefineSteps validate their
-            # planned anchor here first, so refinement works even against a
-            # capacity-0 (or otherwise non-retaining) store.
-            batch_outcomes: dict[tuple, StoreEntry] = {}
             try:
                 for step in plan.steps:
-                    self._run_step(plan, step, reports, batch_outcomes, query_deadline)
+                    self._run_step(plan, step, reports, query_deadline)
             except QueryTimeoutError as error:
                 error.partial_reports = tuple(reports)
                 raise
@@ -407,12 +396,11 @@ class AuditSession:
         plan: QueryPlan,
         step: PlanStep,
         reports: list[DetectionReport | None],
-        batch_outcomes: dict[tuple, StoreEntry],
         deadline_override: float | None = None,
     ) -> None:
         """Serve every query of one plan step: a containment hit from the store,
-        an implication refinement of a weaker anchor, a two-sided frontier
-        extension of a cached sweep, or one real covering run."""
+        a two-sided frontier extension of a cached sweep, or one real covering
+        run."""
         store = self.result_cache
         fingerprint = self._dataset.fingerprint()
         covering = store.lookup(
@@ -421,25 +409,8 @@ class AuditSession:
         algorithm = DETECTOR_CLASSES[step.query.resolved_algorithm()].name
         served = list(step.serves)
         if covering is None:
-            stats = None
-            if isinstance(step, RefineStep):
-                covering, stats = self._refine_step(
-                    step, fingerprint, batch_outcomes, deadline_override
-                )
-            elif isinstance(step, ExtendStep):
-                covering, stats = self._extend_step(
-                    step, fingerprint, batch_outcomes, deadline_override
-                )
-            elif query_family_key(step.query) is not None:
-                # Opportunistic implication serving: even an unplanned step can
-                # refine a weaker same-family sweep a previous batch (or
-                # process) left in the store — this is what makes threshold
-                # tuning one anchored search plus refinements.
-                entry = store.refinable(fingerprint, step.query)
-                if entry is not None:
-                    covering, stats = self._serve_refinement(
-                        step, entry, fingerprint, batch_outcomes, deadline_override
-                    )
+            if isinstance(step, ExtendStep):
+                covering, stats = self._extend_step(step, fingerprint, deadline_override)
             if covering is None:
                 # Store miss: run the covering sweep once.  The primary query
                 # (first of the step in batch order) carries the sweep's real
@@ -454,9 +425,6 @@ class AuditSession:
                 store.insert(
                     fingerprint, step.group_key, step.query, covering, outcome.frontier
                 )
-                batch_outcomes[
-                    (step.group_key, step.query.k_min, step.query.k_max)
-                ] = StoreEntry(query=step.query, result=covering, frontier=outcome.frontier)
                 stats.result_cache_misses += 1
             stats.plan_merged_queries += len(step.serves) - 1
             primary = step.primary_index
@@ -476,7 +444,6 @@ class AuditSession:
         self,
         step: ExtendStep,
         fingerprint: str,
-        batch_outcomes: dict[tuple, StoreEntry],
         deadline_override: float | None = None,
     ) -> tuple[DetectionResult | None, SearchStats | None]:
         """Serve an :class:`~repro.core.planner.ExtendStep` by a two-sided k
@@ -491,12 +458,11 @@ class AuditSession:
         bit-identical to one cold covering run.
 
         Returns ``(None, None)`` when the planned base is no longer usable (it
-        was evicted since planning, needs a suffix but carries no resumable
-        frontier, or the detector cannot resume) — the caller then falls back
-        to a full covering run, so a stale plan degrades in cost, never in
-        correctness.  On success the merged covering sweep replaces the base in
-        the store under the widened range (implication evidence merged across
-        the pieces), and the step's primary stats carry the extension
+        was evicted since planning, needs a suffix but carries no frontier, or
+        the detector cannot resume) — the caller then falls back to a full
+        covering run, so a stale plan degrades in cost, never in correctness.
+        On success the merged covering sweep replaces the base in the store
+        under the widened range, and the step's primary stats carry the extension
         provenance (``result_cache_partial_hits``, ``extended_k_values``,
         ``prefix_extended_k_values``) alongside the real engine counters of
         both partial runs.
@@ -509,7 +475,7 @@ class AuditSession:
             return None, None
         needs_suffix = entry.k_max < step.query.k_max
         needs_prefix = step.query.k_min < entry.k_min
-        if needs_suffix and (entry.frontier is None or not entry.frontier.resumable):
+        if needs_suffix and entry.frontier is None:
             return None, None
 
         def _sub_query(k_min: int, k_max: int) -> DetectionQuery:
@@ -562,150 +528,16 @@ class AuditSession:
         if suffix_outcome is not None:
             covering = covering.merged_with(suffix_outcome.result)
         # The widened sweep's frontier stays the latest-k one (suffix if run,
-        # else the base's), so future suffix resumes still line up; evidence
-        # from every piece is merged so the widened entry keeps anchoring
-        # refinements over its whole range.
+        # else the base's), so future suffix resumes still line up.
         frontier = suffix_outcome.frontier if suffix_outcome is not None else entry.frontier
-        if frontier is not None:
-            frontier = frontier.with_merged_evidence(entry.frontier)
-            if prefix_outcome is not None:
-                frontier = frontier.with_merged_evidence(prefix_outcome.frontier)
         widened = _sub_query(
             min(entry.k_min, step.query.k_min), max(entry.k_max, step.query.k_max)
         )
         store.insert(fingerprint, step.group_key, widened, covering, frontier)
-        batch_outcomes[(step.group_key, widened.k_min, widened.k_max)] = StoreEntry(
-            query=widened, result=covering, frontier=frontier
-        )
         stats.result_cache_partial_hits += 1
         stats.extended_k_values += max(0, step.query.k_max - entry.k_max)
         stats.prefix_extended_k_values += max(0, entry.k_min - step.query.k_min)
         return covering, stats
-
-    @staticmethod
-    def _valid_anchor(entry: StoreEntry, query: DetectionQuery) -> bool:
-        """Whether a store entry can anchor an implication refinement of ``query``."""
-        return (
-            entry.frontier is not None
-            and entry.frontier.covers_evidence(query.k_min, query.k_max)
-            and query_implies(entry.query, query)
-        )
-
-    def _refine_step(
-        self,
-        step: RefineStep,
-        fingerprint: str,
-        batch_outcomes: dict[tuple, StoreEntry],
-        deadline_override: float | None = None,
-    ) -> tuple[DetectionResult | None, SearchStats | None]:
-        """Serve a :class:`~repro.core.planner.RefineStep` from its planned anchor.
-
-        The anchor is looked up first among this batch's own executed outcomes
-        (the plan orders the anchor's step earlier), then in the store.  Either
-        way it is *re-validated* — bound implication and evidence coverage —
-        so a stale plan (anchor evicted, its run degraded to evidence-less,
-        another process replaced the entry) degrades to a full covering run,
-        never a wrong answer.
-        """
-        entry = batch_outcomes.get(
-            (step.anchor_group_key, step.anchor_k_min, step.anchor_k_max)
-        )
-        if entry is not None and not self._valid_anchor(entry, step.query):
-            entry = None
-        if entry is None:
-            entry = self.result_cache.refinable(fingerprint, step.query)
-        if entry is None:
-            return None, None
-        return self._serve_refinement(
-            step, entry, fingerprint, batch_outcomes, deadline_override
-        )
-
-    def _serve_refinement(
-        self,
-        step: PlanStep,
-        entry: StoreEntry,
-        fingerprint: str,
-        batch_outcomes: dict[tuple, StoreEntry],
-        deadline_override: float | None = None,
-    ) -> tuple[DetectionResult, SearchStats]:
-        """Refine ``entry``'s evidence to the step's tighter bound and record it.
-
-        The refined covering sweep is stored under the step's own key (its
-        frontier carries fresh evidence, so chained refinement to still tighter
-        bounds works) and the primary stats carry the implication provenance:
-        ``implication_hits`` (one per refined step) and ``refined_queries``
-        (every query the step serves).
-        """
-        outcome, stats = self._execute_refinement(
-            step.query, entry, deadline_override=deadline_override
-        )
-        covering = outcome.result
-        self.result_cache.insert(
-            fingerprint, step.group_key, step.query, covering, outcome.frontier
-        )
-        batch_outcomes[
-            (step.group_key, step.query.k_min, step.query.k_max)
-        ] = StoreEntry(query=step.query, result=covering, frontier=outcome.frontier)
-        stats.implication_hits += 1
-        stats.refined_queries += len(step.serves)
-        return covering, stats
-
-    def _execute_refinement(
-        self,
-        query: DetectionQuery,
-        entry: StoreEntry,
-        deadline_override: float | None = None,
-    ) -> tuple[SweepOutcome, SearchStats]:
-        """Run :func:`~repro.core.top_down.refine_sweep` with the :meth:`_execute`
-        stats envelope (fresh stats, engine snapshot deltas, wall clock, per-k
-        deadline checks) so refined reports stay attributable exactly like full
-        runs."""
-        counter = self._counter
-        stats = SearchStats()
-        baseline = self._stats_baseline()
-        started = time.perf_counter()
-        budget = (
-            deadline_override
-            if deadline_override is not None
-            else self._execution.query_deadline
-        )
-        deadline = time.monotonic() + budget if budget is not None else None
-
-        def check_deadline() -> None:
-            if deadline is not None and time.monotonic() > deadline:
-                stats.query_deadline_exceeded += 1
-                raise QueryTimeoutError(
-                    "query deadline exceeded during implication refinement",
-                    stats=stats,
-                )
-
-        try:
-            outcome = refine_sweep(
-                counter,
-                query.effective_bound(),
-                query.tau_s,
-                query.k_min,
-                query.k_max,
-                query.resolved_algorithm(),
-                entry.frontier.evidence,
-                entry.frontier.evidence_sizes,
-                stats=stats,
-                check_deadline=check_deadline,
-            )
-        except QueryTimeoutError as error:
-            if isinstance(error.stats, SearchStats):
-                stats = error.stats
-            stats.elapsed_seconds = time.perf_counter() - started
-            publish = getattr(counter, "publish_stats", None)
-            if publish is not None:
-                publish(stats, since=baseline)
-            error.stats = stats
-            raise
-        stats.elapsed_seconds = time.perf_counter() - started
-        publish = getattr(counter, "publish_stats", None)
-        if publish is not None:
-            publish(stats, since=baseline)
-        return outcome, stats
 
     def _assemble_report(
         self,
@@ -967,3 +799,8 @@ def run_queries(
     """
     with AuditSession(dataset, ranking, execution=execution, store=store) as session:
         return session.run_many(queries)
+
+
+# Never called; kept only because perfbench/tracing.py wraps this module-level name.
+def refine_sweep(*args, **kwargs) -> None:
+    raise NotImplementedError("implication refinement is not part of the library")

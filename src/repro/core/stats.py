@@ -56,13 +56,6 @@ class SearchStats:
     #: Number of k values computed by a bounded *prefix* re-run spliced below a
     #: cached sweep's ``k_min`` (the downward analogue of ``extended_k_values``).
     prefix_extended_k_values: int = 0
-    #: Implication-anchored servings: the query's covering step was answered by
-    #: *refining* a weaker cached (or same-batch) sweep's below/size evidence to
-    #: the tighter bound instead of running a fresh root search.
-    implication_hits: int = 0
-    #: Input queries answered from an implication-refined sweep (the served step
-    #: plus every duplicate/merged query that rode on it).
-    refined_queries: int = 0
     #: Queries the planner folded into this run's covering k-sweep beyond the one
     #: reported here (exact duplicates plus merged overlapping/nested k-ranges).
     plan_merged_queries: int = 0
@@ -140,8 +133,6 @@ class SearchStats:
             "result_cache_partial_hits": self.result_cache_partial_hits,
             "extended_k_values": self.extended_k_values,
             "prefix_extended_k_values": self.prefix_extended_k_values,
-            "implication_hits": self.implication_hits,
-            "refined_queries": self.refined_queries,
             "plan_merged_queries": self.plan_merged_queries,
             "worker_restarts": self.worker_restarts,
             "shard_retries": self.shard_retries,

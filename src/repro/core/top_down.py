@@ -51,13 +51,6 @@ class SearchState:
     below: dict[Pattern, int] = field(default_factory=dict)
     expanded: dict[Pattern, int] = field(default_factory=dict)
     sizes: dict[Pattern, int] = field(default_factory=dict)
-    #: Whether this state carries the *full* classification of the search.  The
-    #: process-backend executor returns a reduced state on
-    #: ``classification=False`` runs (shard-minimal below sets, no expanded
-    #: counts or sizes), which is fine for assembling results but must never be
-    #: mistaken for refinement evidence — such states are marked incomplete and
-    #: evidence capture skips them.
-    complete: bool = True
 
     def most_general(self) -> frozenset[Pattern]:
         """The most general below-bound patterns (the result set for the current k)."""
@@ -79,7 +72,6 @@ class SearchState:
         self.below.update(other.below)
         self.expanded.update(other.expanded)
         self.sizes.update(other.sizes)
-        self.complete = self.complete and other.complete
         return self
 
 
@@ -114,19 +106,6 @@ class SweepFrontier:
     extensions, and they serialise through
     :func:`~repro.core.serialization.frontier_to_dict` for the on-disk result
     store.
-
-    Beyond the resume state at ``k``, a frontier may carry *implication
-    evidence*: the per-k below-bound classification (``evidence``, mapping each
-    recorded ``k`` to its full below-pattern → top-k-count dict) plus the sizes
-    of every pattern appearing there (``evidence_sizes``).  Below-sets shrink
-    monotonically as the lower bound tightens, so this evidence is exactly what
-    :func:`refine_sweep` needs to answer any *tighter* bound over the recorded
-    ks without a fresh root search.  ``evidence=None`` (e.g. a frontier loaded
-    from a pre-v4 store file) degrades the entry to an ordinary, non-refinable
-    hit.  ``resumable=False`` marks an evidence-only frontier whose
-    ``below``/``expanded``/``sizes`` must not seed a k-extension (refined
-    GlobalBounds/PropBounds sweeps reconstruct below-sets per k but not the
-    incremental resume state).
     """
 
     #: Resolved algorithm name this frontier belongs to (e.g. ``"global_bounds"``).
@@ -136,15 +115,6 @@ class SweepFrontier:
     below: dict[Pattern, int] = field(default_factory=dict)
     expanded: dict[Pattern, int] = field(default_factory=dict)
     sizes: dict[Pattern, int] = field(default_factory=dict)
-    #: Whether ``as_state`` may seed a k-suffix resume (False for the
-    #: evidence-only frontiers produced by refinement of stateful algorithms).
-    resumable: bool = True
-    #: Per-k below-bound classification for bound refinement, or ``None`` when
-    #: the sweep could not (or chose not to) capture it.
-    evidence: dict[int, dict[Pattern, int]] | None = None
-    #: ``s_D(p)`` for every pattern appearing in ``evidence`` (needed to
-    #: re-evaluate pattern-dependent lower bounds during refinement).
-    evidence_sizes: dict[Pattern, int] | None = None
 
     @classmethod
     def from_state(cls, algorithm: str, k: int, state: SearchState) -> "SweepFrontier":
@@ -167,38 +137,6 @@ class SweepFrontier:
             below=dict(self.below),
             expanded=dict(self.expanded),
             sizes=dict(self.sizes),
-        )
-
-    def covers_evidence(self, k_min: int, k_max: int) -> bool:
-        """Whether refinement evidence is present for every k in the range."""
-        if self.evidence is None or self.evidence_sizes is None:
-            return False
-        return all(k in self.evidence for k in range(k_min, k_max + 1))
-
-    def with_merged_evidence(self, other: "SweepFrontier | None") -> "SweepFrontier":
-        """This frontier with ``other``'s evidence folded in (self wins per k).
-
-        Used when splicing sweeps: a suffix extension's frontier carries
-        evidence for the suffix ks only, and the cached base contributes the
-        ks it already recorded.  Either side may lack evidence entirely — the
-        merge then keeps whatever partial evidence exists
-        (:meth:`covers_evidence` re-validates coverage per refinement request).
-        """
-        if other is None or other.evidence is None:
-            return self
-        evidence = dict(other.evidence)
-        evidence.update(self.evidence or {})
-        evidence_sizes = dict(other.evidence_sizes or {})
-        evidence_sizes.update(self.evidence_sizes or {})
-        return SweepFrontier(
-            algorithm=self.algorithm,
-            k=self.k,
-            below=self.below,
-            expanded=self.expanded,
-            sizes=self.sizes,
-            resumable=self.resumable,
-            evidence=evidence,
-            evidence_sizes=evidence_sizes,
         )
 
 
@@ -233,38 +171,10 @@ class SweepAssembler:
     def __init__(self) -> None:
         self._per_k: dict[int, frozenset[Pattern]] = {}
         self._frontier: SweepFrontier | None = None
-        self._evidence: dict[int, dict[Pattern, int]] = {}
-        self._evidence_sizes: dict[Pattern, int] = {}
-        self._evidence_ok = True
 
     def record(self, k: int, state: SearchState) -> None:
-        """Snapshot the most general below-bound patterns of ``state`` at ``k``.
-
-        When ``state`` carries the full classification, its below-dict (and the
-        sizes of the below patterns) is also snapshotted as implication
-        evidence for :func:`refine_sweep`.  A single incomplete state — e.g.
-        the reduced classification the process-backend executor returns on
-        ``classification=False`` runs — poisons evidence capture for the whole
-        sweep: partial evidence at some ks must not masquerade as refinability.
-        """
+        """Snapshot the most general below-bound patterns of ``state`` at ``k``."""
         self._per_k[k] = state.most_general()
-        if not self._evidence_ok:
-            return
-        if not state.complete:
-            self._evidence_ok = False
-            self._evidence.clear()
-            self._evidence_sizes.clear()
-            return
-        try:
-            self._evidence_sizes.update(
-                (pattern, state.sizes[pattern]) for pattern in state.below
-            )
-        except KeyError:
-            self._evidence_ok = False
-            self._evidence.clear()
-            self._evidence_sizes.clear()
-            return
-        self._evidence[k] = dict(state.below)
 
     def record_patterns(self, k: int, patterns) -> None:
         """Record an explicitly assembled pattern set (non-search detectors)."""
@@ -283,17 +193,8 @@ class SweepAssembler:
         return DetectionResult(self._per_k)
 
     def finish_outcome(self) -> SweepOutcome:
-        """The recorded sweep plus its captured frontier (if any).
-
-        Collected implication evidence is stamped onto the frontier here, after
-        every ``record`` call has happened, so the evidence always matches the
-        recorded ks.
-        """
-        frontier = self._frontier
-        if frontier is not None and self._evidence_ok and self._evidence:
-            frontier.evidence = dict(self._evidence)
-            frontier.evidence_sizes = dict(self._evidence_sizes)
-        return SweepOutcome(result=self.finish(), frontier=frontier)
+        """The recorded sweep plus its captured frontier (if any)."""
+        return SweepOutcome(result=self.finish(), frontier=self._frontier)
 
 
 def constant_lower_bound(bound: BoundSpec, k: int, dataset_size: int) -> float | None:
@@ -396,86 +297,3 @@ def top_down_search(
     stats.full_searches += 1
     state = SearchState()
     return run_search(counter, bound, k, tau_s, state, stats, deque([EMPTY_PATTERN]))
-
-
-def refine_sweep(
-    counter: PatternCounter,
-    bound: BoundSpec,
-    tau_s: int,
-    k_min: int,
-    k_max: int,
-    algorithm: str,
-    evidence: dict[int, dict[Pattern, int]],
-    evidence_sizes: dict[Pattern, int],
-    stats: SearchStats | None = None,
-    check_deadline: Callable[[], None] | None = None,
-) -> SweepOutcome:
-    """Answer a *tighter* lower bound from a weaker sweep's evidence, per k.
-
-    ``evidence`` is the per-k below-bound classification captured by an anchor
-    sweep whose lower bound is pointwise >= ``bound`` over ``[k_min, k_max]``
-    (the caller establishes the implication; see
-    :func:`repro.core.planner.query_implies`).  Because below-sets shrink
-    monotonically as the bound tightens, the anchor's evidence at each ``k``
-    partitions under the tighter bound:
-
-    * patterns whose stored top-k count stays below the tighter bound remain
-      below leaves;
-    * *promoted* patterns (count now >= the tighter bound) become expanded
-      nodes, and only their — mutually disjoint, previously unexplored —
-      subtrees are searched, under the tighter bound, with the ordinary
-      Algorithm-1 loop.
-
-    Every below pattern of a cold run at the tighter bound is either an anchor
-    below leaf that survived the partition or sits inside exactly one promoted
-    leaf's subtree (its ancestors were expanded by the anchor, hence by the
-    cold run too), so the reconstructed per-k below-set — and therefore the
-    most-general result — is bit-identical to the cold run's.  No root search
-    happens: ``full_searches`` stays untouched and only the promoted subtrees
-    pay engine work.
-
-    The outcome's frontier carries fresh evidence for the refined bound (the
-    reconstructed below-sets are complete), enabling chained refinement to even
-    tighter bounds, but is marked non-resumable for the stateful algorithms:
-    the expanded-side classification is *not* reconstructed, so the frontier
-    must not seed a k-suffix resume (IterTD frontiers are stateless and stay
-    resumable).  ``check_deadline`` is invoked once per k so the session can
-    enforce its per-query deadline.
-    """
-    stats = stats if stats is not None else SearchStats()
-    assembler = SweepAssembler()
-    dataset_size = counter.dataset_size
-    for k in range(k_min, k_max + 1):
-        if check_deadline is not None:
-            check_deadline()
-        try:
-            anchor_below = evidence[k]
-        except KeyError:
-            raise ValueError(
-                f"refinement evidence does not cover k={k} "
-                f"(requested range [{k_min}, {k_max}])"
-            ) from None
-        state = SearchState()
-        constant_lower = constant_lower_bound(bound, k, dataset_size)
-        queue: deque[Pattern] = deque()
-        for pattern, count in anchor_below.items():
-            stats.nodes_evaluated += 1
-            lower = constant_lower if constant_lower is not None else bound.lower(
-                k, evidence_sizes[pattern], dataset_size
-            )
-            if count < lower:
-                state.below[pattern] = count
-                state.sizes[pattern] = evidence_sizes[pattern]
-            else:
-                state.expanded[pattern] = count
-                queue.append(pattern)
-        run_search(counter, bound, k, tau_s, state, stats, queue)
-        assembler.record(k, state)
-    assembler.capture_frontier(
-        SweepFrontier(
-            algorithm=algorithm,
-            k=k_max,
-            resumable=(algorithm == "iter_td"),
-        )
-    )
-    return assembler.finish_outcome()

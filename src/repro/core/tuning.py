@@ -22,13 +22,11 @@ A bisection issues a dozen-odd detection queries against the *same* ranked datas
 — the archetypal repeated-query workload — so every suggester runs its probes
 through one :class:`~repro.core.session.AuditSession`: the ranking is encoded
 once, the engine's sibling-block caches stay warm between probes, and (with a
-parallel ``execution``) one worker pool serves the whole search.  The probes of
-one suggester differ only in their threshold, so they also ride the session's
-*implication* path: once the weakest probe's sweep is cached (with its per-k
-below/size evidence), every tighter probe is refined from it instead of running
-a fresh root search — a bisection is one anchored search plus refinements.
-:func:`threshold_sweep` exposes the same economy for an explicit list of
-candidate thresholds, evaluated as one planned batch.
+parallel ``execution``) one worker pool serves the whole search.  Each probe at
+a new threshold is its own sweep, so GlobalBounds and PropBounds keep their
+k-to-k reuse; a repeated probe is a result-store hit.  :func:`threshold_sweep`
+evaluates an explicit list of candidate thresholds as one planned batch on one
+warm session.
 """
 
 from __future__ import annotations
@@ -117,19 +115,16 @@ def threshold_sweep(
     execution: ExecutionConfig | None = None,
     store: ResultStore | None = None,
 ) -> list[TuningResult]:
-    """Evaluate many thresholds of one bound shape as a single planned batch.
+    """Evaluate many thresholds of one bound shape as one planned batch on one
+    warm session.
 
     Pass exactly one of ``lower_bounds`` (constant global lower bounds, audited
     by GlobalBounds) or ``alphas`` (proportional bounds, audited by PropBounds).
-    The candidates share ``tau_s`` and the k range, so they form one
-    containment-lattice family: the planner anchors one covering run at the
-    *weakest* threshold (largest value — it flags the most groups) and serves
-    every tighter candidate as an implication refinement of that anchor's
-    evidence, tightest last.  The batch therefore costs one full search plus
-    N−1 refinements, and every result is bit-identical to a cold per-threshold
-    loop (``implication_hits`` / ``refined_queries`` on the reports' stats show
-    the provenance).  Results come back in input order; ``store`` optionally
-    shares the sweeps beyond this call.
+    The candidates share ``tau_s`` and the k range.  The planner drops repeated
+    thresholds; every distinct one runs its own sweep on the session's warm
+    engine, so every result is bit-identical to a cold per-threshold loop.
+    Results come back in input order; ``store`` optionally shares the sweeps
+    beyond this call.
     """
     if (lower_bounds is None) == (alphas is None):
         raise DetectionError("pass exactly one of lower_bounds / alphas")

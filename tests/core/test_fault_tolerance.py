@@ -311,11 +311,10 @@ class TestBatchInterruption:
             second = DetectionQuery(ProportionalBoundSpec(alpha=0.9), 2, 2, 30,
                                     algorithm)
         elif algorithm == "global_bounds":
-            # A different tau_s keeps step 2 out of step 1's containment
-            # lattice: a same-tau threshold would be served by implication
-            # refinement (or, if tighter, from the warm engine) without
-            # dispatching a single worker task, and a fault that never fires
-            # means no timeout to observe.
+            # A different tau_s makes step 2 dispatch its own worker tasks: a
+            # tighter same-tau threshold could be served from the warm engine
+            # without one, and a fault that never fires means no timeout to
+            # observe.
             second = DetectionQuery(GlobalBoundSpec(lower_bounds=1.0), 3, 2, 30,
                                     algorithm)
         else:

@@ -11,9 +11,9 @@ The contract under test, in order of importance:
 * **cross-process persistence** — a sweep saved through a
   :class:`DiskResultStore` in one session serves containment *and* partial hits
   in a genuinely fresh process, bit-identically;
-* **robustness** — corrupted files, stale format versions and fingerprint
-  mismatches degrade to cache misses, never errors, and a store can never serve
-  another dataset's results;
+* **robustness** — corrupted files, older format versions and fingerprint
+  mismatches degrade to quarantined cache misses, never errors, and a store
+  can never serve another dataset's results;
 * **sharing** — :func:`shared_result_store` makes sweeps reusable across
   sessions in one process; private stores stay private.
 """
@@ -40,12 +40,10 @@ from repro.core.result_store import (
     InMemoryResultStore,
     clear_shared_result_stores,
     discard_shared_result_store,
-    reset_shared_result_stores,
     shared_result_store,
     shared_result_store_names,
 )
 from repro.core.serialization import (
-    MIN_SWEEP_FORMAT_VERSION,
     SWEEP_FORMAT_VERSION,
     frontier_from_dict,
     frontier_to_dict,
@@ -187,10 +185,10 @@ class TestFrontierExtension:
 # -- the shared (process-wide) store --------------------------------------------------
 class TestSharedStore:
     def setup_method(self):
-        reset_shared_result_stores()
+        clear_shared_result_stores()
 
     def teardown_method(self):
-        reset_shared_result_stores()
+        clear_shared_result_stores()
 
     def test_sessions_share_sweeps_through_the_registry(self):
         dataset, ranking = _instance(401, 56, [2, 3], 1.0)
@@ -230,10 +228,6 @@ class TestSharedStore:
         assert shared_result_store_names() == ("svc:b",)
         assert shared_result_store("svc:a") is not store_a
         clear_shared_result_stores()
-        assert shared_result_store_names() == ()
-        # reset_* is the same operation under its older test-fixture name.
-        shared_result_store("svc:c")
-        reset_shared_result_stores()
         assert shared_result_store_names() == ()
 
     def test_discarded_store_keeps_serving_existing_holders(self):
@@ -370,7 +364,7 @@ json.dump({{
             session.run(query)
         for path in tmp_path.glob("*.json"):
             payload = json.loads(path.read_text())
-            payload["sweep_format_version"] = MIN_SWEEP_FORMAT_VERSION - 1
+            payload["sweep_format_version"] = SWEEP_FORMAT_VERSION - 1
             path.write_text(json.dumps(payload), encoding="utf-8")
         store = DiskResultStore(tmp_path)
         with AuditSession(dataset, ranking, store=store) as session:
@@ -378,6 +372,31 @@ json.dump({{
         assert report.stats.result_cache_misses == 1
         assert store.unreadable_entries >= 1
         assert report.result == _cold(dataset, ranking, query).result
+
+    @pytest.mark.parametrize("version", [3, 4])
+    def test_older_format_file_never_seeds_a_resume(self, tmp_path, version):
+        """A v4 file as a refinement wrote it (empty state tables,
+        ``"resumable": false``) or a v3 file must not seed a suffix resume:
+        GlobalBounds stepped on from an empty state reports wrong, empty
+        per-k sets.  Both load as quarantined misses and are recomputed."""
+        dataset, ranking = _instance(441, 48, [2, 3], 1.0)
+        with AuditSession(dataset, ranking, store=DiskResultStore(tmp_path)) as session:
+            session.run(DetectionQuery(FLAT, 2, 2, 15, "global_bounds"))
+        (path,) = tmp_path.glob("*.json")
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["sweep_format_version"] = version
+        if version == 4:
+            payload["frontier"].update(below=[], expanded=[], sizes=[], resumable=False)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        store = DiskResultStore(tmp_path)
+        extending = DetectionQuery(FLAT, 2, 2, 30, "global_bounds")
+        with AuditSession(dataset, ranking, store=store) as session:
+            report = session.run(extending)
+        assert report.result == _cold(dataset, ranking, extending).result
+        assert report.stats.result_cache_partial_hits == 0
+        assert report.stats.result_cache_misses == 1
+        assert store.quarantined_entries == 1
+        assert len(list(tmp_path.glob("*.json.corrupt"))) == 1
 
     def test_incomplete_frontier_degrades_to_a_miss(self, tmp_path):
         """A frontier mapping that lost one of its state tables (hand-edited or

@@ -213,6 +213,25 @@ class TestReportSerialization:
         for k in report.result.k_values:
             assert resaved.detailed_groups(k) == report.detailed_groups(k)
 
+    def test_saved_report_with_retired_counters_still_loads(
+        self, toy_dataset, toy_ranking, tmp_path
+    ):
+        """A v2 report saved while stats still had ``implication_hits`` and
+        ``refined_queries`` loads; the retired keys land in ``stats.extra``."""
+        report = GlobalBoundsDetector(
+            bound=GlobalBoundSpec(lower_bounds=2), tau_s=4, k_min=4, k_max=5
+        ).detect(toy_dataset, toy_ranking)
+        payload = report_to_dict(report)
+        assert payload["report_format_version"] == 2
+        payload["stats"].update(implication_hits=1, refined_queries=3)
+        path = tmp_path / "older.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        loaded = load_report(path)
+        assert loaded.result == report.result
+        assert loaded.stats.extra["implication_hits"] == 1
+        assert loaded.stats.extra["refined_queries"] == 3
+        assert loaded.stats.nodes_evaluated == report.stats.nodes_evaluated
+
     def test_stats_round_trip_preserves_extra_counters(self):
         from repro.core.stats import SearchStats
 
