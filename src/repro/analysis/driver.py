@@ -5,8 +5,7 @@ The driver owns everything that is not rule logic:
 * **collection** — walking the argument paths for ``*.py`` files (skipping
   ``__pycache__``, hidden directories, and anything under ``.git``);
 * **execution** — one fresh instance of every rule per run, fed each parsed
-  file (through the shared :class:`~repro.analysis.source.FileCache`) and
-  finalized once at the end;
+  file (through the shared :class:`~repro.analysis.source.FileCache`);
 * **suppression** — filtering findings whose line or file carries a matching
   ``# repro-lint: disable=`` comment, and counting what was filtered;
 * **RL005** — reporting every suppression code that suppressed nothing (the
@@ -96,7 +95,6 @@ def _run(sources: list[SourceFile], cache: FileCache) -> LintReport:
         for source in sources:
             if rule.applies_to(source):
                 raw.extend(rule.check(source))
-        raw.extend(rule.finalize())
     seen: set[Finding] = set()
     for finding in raw:
         if finding in seen:

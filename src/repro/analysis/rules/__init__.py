@@ -3,14 +3,12 @@
 Adding a rule is three steps: write the visitor module (subclass
 :class:`~repro.analysis.rules.base.Rule`, set ``code``/``name``/
 ``description``), import it here, and append the class to ``ALL_RULES``.
-The driver instantiates each class fresh per run, so rules may keep per-run
-state for their :meth:`finalize` pass.
+The driver instantiates each class fresh per run.
 """
 
 from __future__ import annotations
 
 from repro.analysis.rules.base import Rule
-from repro.analysis.rules.rl001_stats import StatsCompletenessRule
 from repro.analysis.rules.rl002_locks import LockDisciplineRule
 from repro.analysis.rules.rl003_exceptions import ExceptionTaxonomyRule
 from repro.analysis.rules.rl004_api import ApiHygieneRule
@@ -21,11 +19,9 @@ __all__ = [
     "ExceptionTaxonomyRule",
     "LockDisciplineRule",
     "Rule",
-    "StatsCompletenessRule",
 ]
 
 ALL_RULES: tuple[type[Rule], ...] = (
-    StatsCompletenessRule,
     LockDisciplineRule,
     ExceptionTaxonomyRule,
     ApiHygieneRule,

@@ -1,20 +1,13 @@
 """Base class shared by every repro-lint rule.
 
-A rule is a stateful object created fresh for each lint run.  The driver feeds
-it every collected file through :meth:`Rule.check` (skipping files where
-:meth:`Rule.applies_to` says no) and then calls :meth:`Rule.finalize` once —
-the hook cross-file rules like RL001 use to compare the anchors they collected
-(the ``SearchStats`` dataclass against its serde functions) after the whole
-file set has been seen.
+A rule is an object created fresh for each lint run.  The driver feeds it
+every collected file through :meth:`Rule.check`, skipping files where
+:meth:`Rule.applies_to` says no.
 
 Rules *return* findings; they never filter them.  Suppression is the driver's
 job, so a rule stays a pure function from source to diagnostics and the
 suppression bookkeeping (including the unused-suppression check) lives in one
-place.  The only exception is deliberate: a rule may consult
-``source.is_suppressed`` directly when a suppression's *anchor* differs from
-the finding's — RL001 lets a ``SearchStats`` field opt out of completeness on
-its own definition line, while the finding points at the serde function that
-omits it.
+place.
 """
 
 from __future__ import annotations
@@ -41,10 +34,6 @@ class Rule:
 
     def check(self, source: SourceFile) -> Iterable[Finding]:
         """Per-file pass: yield findings for ``source``."""
-        return ()
-
-    def finalize(self) -> Iterable[Finding]:
-        """Cross-file pass, called once after every file was checked."""
         return ()
 
     def finding(self, source: SourceFile, line: int, message: str) -> Finding:

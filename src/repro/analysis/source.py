@@ -2,9 +2,8 @@
 
 Every rule runs over :class:`SourceFile` objects, which carry the raw text, the
 parsed AST and the file's suppression comments.  The driver keeps one
-:class:`FileCache` per run so a file referenced by several rules (RL001 reads
-``stats.py``, ``serialization.py`` and the engine files) is read and parsed
-exactly once.
+:class:`FileCache` per run, so every rule sees the same parsed file and each
+file is read and parsed exactly once.
 
 Suppression syntax
 ------------------
@@ -109,14 +108,6 @@ class SourceFile:
                 hit = True
         return hit
 
-    def has_suppression_at(self, line: int, code: str) -> bool:
-        """Non-consuming variant of :meth:`is_suppressed` (rule-internal probes)."""
-        return any(
-            code in suppression.codes
-            and (suppression.file_level or suppression.line == line)
-            for suppression in self.suppressions
-        )
-
 
 class FileCache:
     """Per-run cache mapping path → parsed :class:`SourceFile` (or parse error)."""
@@ -146,6 +137,3 @@ class FileCache:
             self.errors.append((path, f"unreadable: {error}"))
             return None
         return self.add_text(path, text)
-
-    def files(self) -> tuple[SourceFile, ...]:
-        return tuple(self._files.values())

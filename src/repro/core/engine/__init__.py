@@ -4,7 +4,9 @@ Every detector in the reproduction (IterTD, GlobalBounds, PropBounds) bottleneck
 counting: for each visited lattice node it needs the node's size in the dataset
 (``s_D(p)``) and its count among the top-k ranked tuples (``s_Rk(D)(p)``).  This
 package replaces the per-pattern boolean-mask path with a batched, prefix-count
-engine built on three pillars:
+engine, :class:`CountingEngine` — the one counter class, which
+:mod:`repro.core.pattern_graph` also exports as ``PatternCounter`` — built on three
+pillars:
 
 1. **Sibling-batch evaluation** (:mod:`~repro.core.engine.blocks`,
    :meth:`CountingEngine.child_block`) — all children of one attribute are evaluated

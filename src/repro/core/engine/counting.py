@@ -1,7 +1,9 @@
 """The vectorized counting engine behind every detector.
 
 :class:`CountingEngine` memoises ``s_D(p)`` / ``s_Rk(D)(p)`` computation over a
-fixed dataset and ranking.  It differs from a per-pattern mask cache in three ways:
+fixed dataset and ranking.  It is the one counter class of the package; the
+detectors' public name for it is :data:`repro.core.pattern_graph.PatternCounter`.
+It differs from a per-pattern mask cache in three ways:
 
 * **Sibling-batch evaluation** — :meth:`child_block` evaluates all children of one
   attribute with one ``np.bincount`` over the parent's matched column slice,
@@ -15,8 +17,8 @@ fixed dataset and ranking.  It differs from a per-pattern mask cache in three wa
   and both caches evict least-recently-used entries instead of refusing new ones.
 
 The engine keeps its own instrumentation (batch evaluations, cache hits / misses /
-evictions, dense / sparse entry counts); detectors publish a snapshot on
-:class:`~repro.core.stats.SearchStats` at the end of a run.
+evictions, dense / sparse entry counts); :meth:`CountingEngine.publish_stats` copies
+the work a run did onto its :class:`~repro.core.stats.SearchStats`.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from repro.core.engine.masks import (
 )
 from repro.core.engine.tree import SearchTree
 from repro.core.pattern import Pattern
+from repro.core.stats import COUNTER_TYPES, SearchStats
 from repro.data.dataset import Dataset
 from repro.ranking.base import Ranking
 
@@ -44,14 +47,19 @@ _BlockKey = tuple[Pattern, int]
 
 
 class CountingEngine:
-    """Vectorized, memoised size / top-k-count oracle over a dataset and ranking."""
+    """Vectorized, memoised size / top-k-count oracle over a dataset and ranking.
+
+    Rows are stored in rank order, so the top-k count of a pattern is the number of
+    its matching rank positions below ``k`` — answered from a prefix-count
+    representation in ``O(log n)`` for any ``k``.
+    """
 
     def __init__(
         self,
         dataset: Dataset,
         ranking: Ranking,
         *,
-        max_cached_patterns: int = DEFAULT_CACHE_CAPACITY,
+        max_cached_masks: int = DEFAULT_CACHE_CAPACITY,
         max_cached_blocks: int | None = None,
         sparse_threshold: float = DEFAULT_SPARSE_THRESHOLD,
         ranked_codes: np.ndarray | None = None,
@@ -90,8 +98,8 @@ class CountingEngine:
         self._sparse_threshold = float(sparse_threshold)
         self._tree = SearchTree(dataset)
         if max_cached_blocks is None:
-            max_cached_blocks = max_cached_patterns
-        self._matches: LRUCache[Pattern, DenseMatch | SparseMatch] = LRUCache(max_cached_patterns)
+            max_cached_blocks = max_cached_masks
+        self._matches: LRUCache[Pattern, DenseMatch | SparseMatch] = LRUCache(max_cached_masks)
         self._blocks: LRUCache[_BlockKey, BlockEntry] = LRUCache(max_cached_blocks)
         # The empty pattern matches every row; it is pinned outside the LRU cache.
         self._root = DenseMatch(np.ones(self._n_rows, dtype=bool))
@@ -183,7 +191,7 @@ class CountingEngine:
         """Vectorized ``s_Rk(D)(p)`` over a whole array of ``k`` values at once."""
         return self.match(pattern).top_k_counts(np.asarray(ks))
 
-    def boolean_mask(self, pattern: Pattern) -> np.ndarray:
+    def mask(self, pattern: Pattern) -> np.ndarray:
         """Boolean match mask of ``pattern`` over the rank-ordered rows."""
         entry = self.match(pattern)
         if entry.is_dense:
@@ -269,7 +277,7 @@ class CountingEngine:
         return len(self._blocks)
 
     # -- instrumentation -----------------------------------------------------------
-    def snapshot(self) -> dict[str, int]:
+    def stats_snapshot(self) -> dict[str, int]:
         """Current engine counters (cumulative since construction)."""
         return {
             "batch_evaluations": self.batch_evaluations,
@@ -281,6 +289,22 @@ class CountingEngine:
             "sparse_masks": self.sparse_masks,
             "representation_switches": self.representation_switches,
         }
+
+    def publish_stats(self, stats: SearchStats, since: dict[str, int] | None = None) -> None:
+        """Copy the engine's counters onto ``stats``.
+
+        ``since`` is a :meth:`stats_snapshot` taken before the run; when given, only
+        the work performed after it is attributed, so reports stay per-run even when
+        a warm counter is reused across several detections.  A counter that names a
+        :class:`SearchStats` field is assigned to it; any other lands in ``extra``.
+        """
+        for name, value in self.stats_snapshot().items():
+            if since is not None:
+                value -= since.get(name, 0)
+            if name in COUNTER_TYPES:
+                setattr(stats, name, value)
+            else:
+                stats.extra[name] = value
 
 
 # Re-exported for callers that want to size sparse arrays consistently.

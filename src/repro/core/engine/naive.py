@@ -10,9 +10,10 @@ stops accepting entries once full.  It exists so that
 * ``benchmarks/bench_engine_throughput.py`` can time the engine against the exact
   per-node cost the paper's bounds-based algorithms were paying before.
 
-It implements the same counter protocol as :class:`~repro.core.pattern_graph.PatternCounter`
+It implements the counting methods of :class:`~repro.core.engine.counting.CountingEngine`
 (including ``child_blocks``), but performs one Python-level mask computation per
-child — no batching, no prefix counts, no sparse storage.
+child — no batching, no prefix counts, no sparse storage — and keeps no counters,
+so it has no ``stats_snapshot``/``publish_stats`` and never runs sharded.
 """
 
 from __future__ import annotations

@@ -70,7 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.engine.counting import DEFAULT_CACHE_CAPACITY
+from repro.core.engine.counting import DEFAULT_CACHE_CAPACITY, CountingEngine
 from repro.core.engine.faults import (
     DROP_RESULT,
     FAULT_EXIT_CODE,
@@ -235,7 +235,7 @@ class ExecutionConfig:
         return "fork" if "fork" in available else "spawn"
 
     def counter_options(self) -> dict[str, object]:
-        """Keyword arguments for :class:`~repro.core.pattern_graph.PatternCounter`."""
+        """Keyword arguments for :class:`~repro.core.engine.counting.CountingEngine`."""
         return {
             "max_cached_masks": self.match_cache_capacity,
             "max_cached_blocks": self.block_cache_capacity,
@@ -250,7 +250,6 @@ def _build_worker_counter(handle: SharedDatasetHandle, config: ExecutionConfig):
     (identity ranking), so no row of the dataset is copied into the worker.
     Returns ``(view, counter)``; the view must stay alive as long as the counter.
     """
-    from repro.core.pattern_graph import PatternCounter
     from repro.data.dataset import Dataset
     from repro.ranking.base import Ranking
 
@@ -266,7 +265,7 @@ def _build_worker_counter(handle: SharedDatasetHandle, config: ExecutionConfig):
     # segment before it can corrupt every count this worker ever returns.
     dataset = Dataset(handle.schema, view.ranked_codes)
     ranking = Ranking(dataset, np.arange(handle.n_rows, dtype=np.intp))
-    counter = PatternCounter(
+    counter = CountingEngine(
         dataset, ranking, ranked_codes=view.ranked_codes, **config.counter_options()
     )
     return view, counter
@@ -437,7 +436,6 @@ class ParallelSearchExecutor:
     _MAX_CACHED_ASSIGNMENTS = 64
 
     def __init__(self, counter, config: ExecutionConfig, generation: int = 0) -> None:
-        engine = counter.engine
         self._counter = counter
         self._config = config
         self._workers = config.resolved_workers()
@@ -456,7 +454,7 @@ class ParallelSearchExecutor:
         # and reused by every query that shares it).
         self._assignments: dict[int, dict[Pattern, int]] = {}
         self._view = SharedDatasetView.publish(
-            engine.ranked_codes,
+            counter.ranked_codes,
             np.ascontiguousarray(counter.ranking.order),
             counter.dataset.schema,
         )
@@ -869,8 +867,8 @@ def create_search_executor(
 
     Returns ``None`` — and thereby routes the caller through the unchanged
     in-process path — when the configuration asks for a single worker, when the
-    counter is not engine-backed (e.g. the naive reference path, which exists to
-    measure the seed behaviour), or when the platform cannot provide shared
+    counter is not a :class:`CountingEngine` (e.g. the naive reference path, which
+    exists to measure the seed behaviour), or when the platform cannot provide shared
     memory: no ``multiprocessing.shared_memory``, a sandbox where allocating a
     segment fails with ``OSError``/``PermissionError``, or workers that cannot
     attach/start (surfaced as :class:`DetectionError` from the startup
@@ -884,7 +882,7 @@ def create_search_executor(
     """
     if config.resolved_workers() <= 1:
         return None
-    if getattr(counter, "engine", None) is None:
+    if not isinstance(counter, CountingEngine):
         return None
     if not shared_memory_available():
         return None

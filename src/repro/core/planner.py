@@ -57,15 +57,7 @@ from repro.core.engine.parallel import ExecutionConfig
 from repro.core.global_bounds import GlobalBoundsDetector
 from repro.core.iter_td import IterTDDetector
 from repro.core.prop_bounds import PropBoundsDetector
-from repro.core.result_store import (  # noqa: F401  (re-exported)
-    DEFAULT_RESULT_CACHE_CAPACITY,
-    DiskResultStore,
-    InMemoryResultStore,
-    ResultStore,
-    StoreEntry,
-    extension_gain,
-    shared_result_store,
-)
+from repro.core.result_store import extension_gain
 from repro.core.upper_bounds import UpperBoundsDetector
 
 #: Algorithm names accepted by :class:`DetectionQuery`, mapped to detector classes.
@@ -463,9 +455,3 @@ def plan_queries(
     # so the executor's per-tau_s shard assignments are reused back-to-back.
     steps.sort(key=lambda step: (step.query.tau_s, step.primary_index))
     return QueryPlan(queries=queries, steps=tuple(steps))
-
-
-# -- cross-query result reuse -------------------------------------------------------
-# The covering-sweep stores (the in-memory LRU, the process-wide shared registry
-# and the on-disk backend) live in :mod:`repro.core.result_store`; the names are
-# re-exported above for one-stop imports alongside the planner.

@@ -455,11 +455,6 @@ class DiskResultStore(ResultStore):
         self.quarantined_entries = 0
 
     @property
-    def store_quarantined(self) -> int:
-        """Alias of :attr:`quarantined_entries` (the counter's public name)."""
-        return self.quarantined_entries
-
-    @property
     def directory(self) -> Path:
         return self._directory
 

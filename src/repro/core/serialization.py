@@ -33,7 +33,7 @@ generation at which each shape was introduced):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
@@ -41,7 +41,7 @@ from repro.core.bounds import BoundSpec, GlobalBoundSpec, ProportionalBoundSpec
 from repro.core.detector import DetectionParameters, DetectionReport
 from repro.core.pattern import Pattern
 from repro.core.result_set import DetectedGroup, DetectionResult
-from repro.core.stats import SearchStats
+from repro.core.stats import COUNTER_TYPES, SearchStats
 from repro.core.top_down import SweepFrontier
 from repro.exceptions import DetectionError
 
@@ -163,13 +163,12 @@ def bound_from_dict(data: Mapping[str, object]) -> BoundSpec:
 def stats_from_dict(data: Mapping[str, object]) -> SearchStats:
     """Rebuild a :class:`SearchStats` from its :meth:`~SearchStats.as_dict` form."""
     stats = SearchStats()
-    field_names = {spec.name for spec in fields(SearchStats)} - {"extra"}
     for name, value in data.items():
-        if name in field_names:
-            kind = float if name in ("elapsed_seconds", "queue_wait_seconds") else int
-            setattr(stats, name, kind(value))
-        else:
+        kind = COUNTER_TYPES.get(name)
+        if kind is None:
             stats.extra[name] = value
+        else:
+            setattr(stats, name, kind(value))
     return stats
 
 

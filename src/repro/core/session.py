@@ -83,7 +83,6 @@ from repro.core.detector import DetectionParameters, DetectionReport, Detector
 from repro.core.engine.parallel import ExecutionConfig, create_search_executor
 from repro.core.pattern_graph import PatternCounter
 from repro.core.planner import (
-    DEFAULT_RESULT_CACHE_CAPACITY,
     DETECTOR_CLASSES,
     DetectionQuery,
     ExtendStep,
@@ -92,7 +91,11 @@ from repro.core.planner import (
     plan_queries,
 )
 from repro.core.result_set import DetectionResult
-from repro.core.result_store import InMemoryResultStore, ResultStore
+from repro.core.result_store import (
+    DEFAULT_RESULT_CACHE_CAPACITY,
+    InMemoryResultStore,
+    ResultStore,
+)
 from repro.core.stats import SearchStats
 from repro.core.top_down import SweepOutcome, top_down_search
 from repro.data.dataset import Dataset

@@ -8,7 +8,7 @@ reproduce those numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 
 @dataclass
@@ -99,13 +99,11 @@ class SearchStats:
         This is the accumulation primitive of the parallel executor: every shard
         returns its own :class:`SearchStats`, and the coordinator absorbs them into
         the run's stats so the merged totals equal a serial run's counters.  Every
-        dataclass field except ``extra`` is summed by reflection, so counters added
-        in the future participate in parallel-run merges automatically.
+        field in :data:`COUNTER_TYPES` is summed, so a counter added in the future
+        takes part in parallel-run merges automatically.
         """
-        for spec in fields(self):
-            if spec.name == "extra":
-                continue
-            setattr(self, spec.name, getattr(self, spec.name) + getattr(other, spec.name))
+        for name in COUNTER_TYPES:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         for name, value in other.extra.items():
             self.extra[name] = self.extra.get(name, 0) + value
         return self
@@ -115,36 +113,21 @@ class SearchStats:
         return self.copy().absorb(other)
 
     def as_dict(self) -> dict[str, float]:
-        """Flatten the statistics into a plain dictionary (used by the reporters)."""
-        flat: dict[str, float] = {
-            "nodes_generated": self.nodes_generated,
-            "nodes_evaluated": self.nodes_evaluated,
-            "size_computations": self.size_computations,
-            "full_searches": self.full_searches,
-            "batch_evaluations": self.batch_evaluations,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_evictions": self.cache_evictions,
-            "dense_masks": self.dense_masks,
-            "sparse_masks": self.sparse_masks,
-            "representation_switches": self.representation_switches,
-            "result_cache_hits": self.result_cache_hits,
-            "result_cache_misses": self.result_cache_misses,
-            "result_cache_partial_hits": self.result_cache_partial_hits,
-            "extended_k_values": self.extended_k_values,
-            "prefix_extended_k_values": self.prefix_extended_k_values,
-            "plan_merged_queries": self.plan_merged_queries,
-            "worker_restarts": self.worker_restarts,
-            "shard_retries": self.shard_retries,
-            "heartbeat_timeouts": self.heartbeat_timeouts,
-            "query_deadline_exceeded": self.query_deadline_exceeded,
-            "degraded_queries": self.degraded_queries,
-            "executor_recoveries": self.executor_recoveries,
-            "queue_wait_seconds": self.queue_wait_seconds,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
+        """Flatten the statistics into a plain dictionary (used by the reporters).
+
+        Counters come in declaration order, followed by the ``extra`` entries.
+        """
+        flat: dict[str, float] = {name: getattr(self, name) for name in COUNTER_TYPES}
         flat.update(self.extra)
         return flat
+
+
+#: Every counter field of :class:`SearchStats` in declaration order, mapped to its
+#: numeric type (``int`` or ``float``, taken from the field's default).  ``extra``
+#: has a default factory instead of a default, so it is not a counter.
+COUNTER_TYPES: dict[str, type] = {
+    spec.name: type(spec.default) for spec in fields(SearchStats) if spec.default is not MISSING
+}
 
 
 def examined_gain(baseline: SearchStats, optimized: SearchStats) -> float:

@@ -26,87 +26,6 @@ def _findings(text: str, path: str = LIBRARY_PATH, code: str | None = None):
     return findings
 
 
-class TestRL001StatsCompleteness:
-    # A miniature stats module: the anchors (SearchStats, absorb, as_dict,
-    # stats_from_dict, CountingEngine.snapshot, publish_stats) are recognised
-    # by name, so one fixture file carries both sides of every comparison.
-    COMPLETE = """
-        from dataclasses import dataclass, fields
-
-        @dataclass
-        class SearchStats:
-            nodes_examined: int = 0
-            elapsed_seconds: float = 0.0
-            extra: dict = None
-
-            def absorb(self, other):
-                for spec in fields(self):
-                    pass
-
-            def as_dict(self):
-                flat = {
-                    "nodes_examined": self.nodes_examined,
-                    "elapsed_seconds": self.elapsed_seconds,
-                }
-                flat.update(self.extra)
-                return flat
-
-        def stats_from_dict(payload):
-            for spec in fields(SearchStats):
-                kind = float if spec.name in ("elapsed_seconds",) else int
-
-        class CountingEngine:
-            def snapshot(self):
-                return {"cache_hits": self.cache_hits}
-
-        def publish_stats(stats, snapshot):
-            stats.cache_hits = snapshot["cache_hits"]
-    """
-
-    def test_complete_stats_module_is_clean(self):
-        assert _findings(self.COMPLETE, code="RL001") == []
-
-    def test_as_dict_missing_field_fires(self):
-        text = self.COMPLETE.replace('"nodes_examined": self.nodes_examined,\n', "")
-        (finding,) = _findings(text, code="RL001")
-        assert "as_dict omits field 'nodes_examined'" in finding.message
-
-    def test_as_dict_dropping_extra_fires(self):
-        text = self.COMPLETE.replace("flat.update(self.extra)", "pass")
-        (finding,) = _findings(text, code="RL001")
-        assert "never reads self.extra" in finding.message
-
-    def test_hand_rolled_absorb_missing_field_fires(self):
-        text = self.COMPLETE.replace(
-            "for spec in fields(self):\n                    pass",
-            "self.elapsed_seconds += other.elapsed_seconds",
-        )
-        (finding,) = _findings(text, code="RL001")
-        assert "absorb drops field 'nodes_examined'" in finding.message
-
-    def test_from_dict_missing_float_dispatch_fires(self):
-        text = self.COMPLETE.replace('("elapsed_seconds",)', "()")
-        (finding,) = _findings(text, code="RL001")
-        assert "float dispatch misses 'elapsed_seconds'" in finding.message
-
-    def test_unconsumed_snapshot_key_fires(self):
-        text = self.COMPLETE.replace(
-            'return {"cache_hits": self.cache_hits}',
-            'return {"cache_hits": self.cache_hits, "dropped": self.dropped}',
-        )
-        (finding,) = _findings(text, code="RL001")
-        assert "never consumes snapshot key 'dropped'" in finding.message
-
-    def test_field_exemption_on_definition_line_is_honoured(self):
-        text = self.COMPLETE.replace('"nodes_examined": self.nodes_examined,\n', "")
-        text = text.replace(
-            "nodes_examined: int = 0",
-            "nodes_examined: int = 0  # repro-lint: disable=RL001",
-        )
-        report = lint_source(textwrap.dedent(text))
-        assert [finding.code for finding in report.findings] == []
-
-
 class TestRL002LockDiscipline:
     def test_blocking_close_under_lock_fires(self):
         (finding,) = _findings(

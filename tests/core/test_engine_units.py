@@ -125,7 +125,7 @@ class TestLRUCache:
         ).detect(dataset, ranking, counter=counter)
         assert report.stats.cache_evictions > 0
         assert report.stats.cache_evictions == (
-            counter.engine._matches.evictions + counter.engine._blocks.evictions
+            counter._matches.evictions + counter._blocks.evictions
         )
 
     def test_clear_keeps_counters(self):
@@ -192,21 +192,21 @@ class TestCountingEngine:
     def test_counters_move(self, toy_engine):
         _, _, engine = toy_engine
         list(engine.child_blocks(EMPTY_PATTERN, k=4))
-        snapshot = engine.snapshot()
+        snapshot = engine.stats_snapshot()
         assert snapshot["batch_evaluations"] == 4  # one per attribute
         assert snapshot["cache_misses"] > 0
 
     def test_row_satisfies_matches_mask(self, toy_engine):
         dataset, _, engine = toy_engine
         pattern = Pattern({"Gender": "F", "School": "GP"})
-        mask = engine.boolean_mask(pattern)
+        mask = engine.mask(pattern)
         for rank in range(1, dataset.n_rows + 1):
             assert engine.row_satisfies(rank, pattern) == bool(mask[rank - 1])
 
     def test_eviction_does_not_change_answers(self):
         dataset = students_toy()
         ranking = toy_ranker().rank(dataset)
-        tiny = CountingEngine(dataset, ranking, max_cached_patterns=2, max_cached_blocks=2)
+        tiny = CountingEngine(dataset, ranking, max_cached_masks=2, max_cached_blocks=2)
         reference = NaiveCounter(dataset, ranking)
         patterns = [
             Pattern({"Gender": "F"}),
@@ -220,7 +220,7 @@ class TestCountingEngine:
                 assert tiny.size(pattern) == reference.size(pattern)
                 for k in (1, 5, dataset.n_rows):
                     assert tiny.top_k_count(pattern, k) == reference.top_k_count(pattern, k)
-        assert tiny.snapshot()["cache_evictions"] > 0
+        assert tiny.stats_snapshot()["cache_evictions"] > 0
 
     def test_mismatched_dataset_rejected(self, toy_engine):
         from repro.data.dataset import Dataset

@@ -168,7 +168,7 @@ class TestSharedDatasetView:
     def test_publish_attach_round_trip_zero_copy(self):
         dataset, ranking = _instance(9, 60, [2, 3])
         counter = PatternCounter(dataset, ranking)
-        ranked = counter.engine.ranked_codes
+        ranked = counter.ranked_codes
         view = SharedDatasetView.publish(
             ranked, np.ascontiguousarray(ranking.order), dataset.schema
         )
@@ -190,13 +190,13 @@ class TestSharedDatasetView:
         dataset, ranking = _instance(10, 40, [2, 2])
         counter = PatternCounter(dataset, ranking)
         view = SharedDatasetView.publish(
-            counter.engine.ranked_codes, np.ascontiguousarray(ranking.order), dataset.schema
+            counter.ranked_codes, np.ascontiguousarray(ranking.order), dataset.schema
         )
         try:
             handle = pickle.loads(pickle.dumps(view.handle()))
             attached = handle.attach()
             try:
-                assert np.array_equal(attached.ranked_codes, counter.engine.ranked_codes)
+                assert np.array_equal(attached.ranked_codes, counter.ranked_codes)
             finally:
                 attached.close()
         finally:
@@ -207,7 +207,7 @@ class TestSharedDatasetView:
         counter = PatternCounter(dataset, ranking)
         with pytest.raises(ValueError):
             SharedDatasetView.publish(
-                counter.engine.ranked_codes, np.arange(7), dataset.schema
+                counter.ranked_codes, np.arange(7), dataset.schema
             )
 
 

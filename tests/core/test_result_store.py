@@ -543,7 +543,7 @@ class TestDiskStoreHygiene:
         assert report.result == _cold(dataset, ranking, query).result
         assert store.unreadable_entries == 1
         assert store.quarantined_entries == 1
-        assert store.store_quarantined == 1
+        assert store.quarantined_entries == 1
         quarantined = list(tmp_path.glob("*.json.corrupt"))
         assert len(quarantined) == 1
         # The miss re-ran the sweep and re-inserted a healthy entry...

@@ -8,18 +8,25 @@ its prefix side, or a sweep written to disk and read back in a fresh store.
 Checking those paths only against the cold fast path would let a bug the two
 share pass, so each one is checked here against the oracle, on random small
 instances, with the provenance counters proving the path was really taken.
+
+The process-sharded paths (a cold query and a suffix extension on a two-worker
+session, and a query whose worker is killed and respawned mid-search) are
+checked against the oracle too, on one fixed small instance per algorithm.
 """
 
 from __future__ import annotations
 
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bounds import GlobalBoundSpec, ProportionalBoundSpec
 from repro.core.brute_force import brute_force_detection
+from repro.core.engine.faults import FaultPlan, kill_worker
+from repro.core.engine.parallel import ExecutionConfig
 from repro.core.pattern_graph import PatternCounter
 from repro.core.planner import DetectionQuery
 from repro.core.result_store import DiskResultStore
@@ -146,3 +153,65 @@ class TestServingPathsMatchTheOracle:
         assert extended.stats.extended_k_values == d - c
         assert contained.result == _oracle(dataset, ranking, nested)
         assert extended.result == _oracle(dataset, ranking, widened)
+
+
+# -- process shards and fault-recovered runs --------------------------------------
+#: Per algorithm: the bound and ``tau_s`` of the fixed sharded instance, and the
+#: worker-0 task that the fault plan kills.  IterTD shards every per-k search, so
+#: its kill lands mid-sweep; GlobalBounds and PropBounds shard only their first
+#: search, so theirs lands on it.
+SHARDED_CASES = {
+    "iter_td": (GlobalBoundSpec(lower_bounds=2.0), 2, 2),
+    "global_bounds": (GlobalBoundSpec(lower_bounds=2.0), 2, 1),
+    "prop_bounds": (ProportionalBoundSpec(alpha=0.8), 2, 1),
+}
+
+
+@pytest.fixture(scope="module")
+def sharded_instance():
+    """96 rows over four attributes: 143 lattice patterns, within oracle reach."""
+    rng = np.random.default_rng(211)
+    spec = SyntheticSpec(
+        n_rows=96,
+        cardinalities=[2, 3, 2, 3],
+        score_weights=rng.uniform(-1.5, 1.5, size=4).tolist(),
+        noise=0.4,
+        seed=211,
+    )
+    dataset = synthetic_dataset(spec)
+    ranking = PrecomputedRanker(score_column="score").rank(dataset)
+    assert dataset.schema.total_patterns() <= 2_000
+    return dataset, ranking
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+class TestProcessShardsMatchTheOracle:
+    def test_cold_query_and_suffix_extension(self, algorithm, sharded_instance):
+        dataset, ranking = sharded_instance
+        bound, tau_s, _ = SHARDED_CASES[algorithm]
+        cold = DetectionQuery(bound, tau_s, 2, 12, algorithm)
+        widened = DetectionQuery(bound, tau_s, 6, 20, algorithm)
+        with AuditSession(dataset, ranking, execution=ExecutionConfig(workers=2)) as session:
+            first = session.run(cold)
+            extended = session.run(widened)
+        assert first.stats.extra["pool_spawns"] == 1
+        assert first.stats.extra["parallel_shards"] > 0
+        assert extended.stats.result_cache_partial_hits == 1
+        assert extended.stats.extended_k_values == 20 - 12
+        assert first.result == _oracle(dataset, ranking, cold)
+        assert extended.result == _oracle(dataset, ranking, widened)
+
+    def test_killed_worker_recovery(self, algorithm, sharded_instance):
+        dataset, ranking = sharded_instance
+        bound, tau_s, at_task = SHARDED_CASES[algorithm]
+        query = DetectionQuery(bound, tau_s, 2, 12, algorithm)
+        config = ExecutionConfig(
+            workers=2,
+            retry_backoff=0.01,
+            fault_plan=FaultPlan(actions=(kill_worker(0, at_task=at_task),)),
+        )
+        with AuditSession(dataset, ranking, execution=config) as session:
+            report = session.run(query)
+        assert report.stats.extra["parallel_shards"] > 0
+        assert report.stats.worker_restarts == 1
+        assert report.result == _oracle(dataset, ranking, query)
