@@ -43,7 +43,7 @@ from repro.core.result_store import (
     shared_result_store_names,
 )
 from repro.core.prop_bounds import PropBoundsDetector
-from repro.core.result_set import DetectedGroup, DetectionResult, MostGeneralSet, minimal_patterns
+from repro.core.result_set import DetectedGroup, DetectionResult, minimal_patterns
 from repro.core.serialization import (
     LoadedReport,
     bound_from_dict,
@@ -111,7 +111,6 @@ __all__ = [
     "DetectionReport",
     "DetectionResult",
     "DetectedGroup",
-    "MostGeneralSet",
     "minimal_patterns",
     "IterTDDetector",
     "GlobalBoundsDetector",

@@ -17,7 +17,7 @@ from repro.core.bounds import BoundSpec
 from repro.core.engine.parallel import ExecutionConfig
 from repro.core.pattern import Pattern
 from repro.core.pattern_graph import PatternCounter
-from repro.core.result_set import DetectedGroup, DetectionResult
+from repro.core.result_set import DetectedGroup, DetectionResult, ordered_groups
 from repro.core.stats import SearchStats
 from repro.core.top_down import SearchState, SweepFrontier, SweepOutcome
 from repro.data.dataset import Dataset
@@ -110,22 +110,21 @@ class DetectionReport:
         (gap between required and actual representation, descending), the two
         orderings Section III proposes for presenting results.
         """
-        if order_by not in {"size", "bias"}:
-            raise DetectionError("order_by must be 'size' or 'bias'")
-        dataset_size = self._counter.dataset_size
-        groups = []
-        for pattern in self.result.groups_at(k):
-            size = self._counter.size(pattern)
-            count = self._counter.top_k_count(pattern, k)
-            bound = self.parameters.bound.lower(k, size, dataset_size)
-            groups.append(
-                DetectedGroup(pattern=pattern, k=k, size_in_data=size, count_in_top_k=count, bound=bound)
+        counter = self._counter
+        dataset_size = counter.dataset_size
+        bound = self.parameters.bound
+
+        def group(pattern: Pattern) -> DetectedGroup:
+            size = counter.size(pattern)
+            return DetectedGroup(
+                pattern=pattern,
+                k=k,
+                size_in_data=size,
+                count_in_top_k=counter.top_k_count(pattern, k),
+                bound=bound.lower(k, size, dataset_size),
             )
-        if order_by == "size":
-            groups.sort(key=lambda group: (-group.size_in_data, group.pattern.describe()))
-        else:
-            groups.sort(key=lambda group: (-group.bias_gap, group.pattern.describe()))
-        return groups
+
+        return ordered_groups(map(group, self.result.groups_at(k)), order_by)
 
     def describe(self, max_rows: int = 50) -> str:
         """Plain-text summary of the detection run (one line per detected group)."""
@@ -176,13 +175,13 @@ class Detector(abc.ABC):
         in-process or fanned out over the parallel executor, depending on the
         :class:`~repro.core.engine.parallel.ExecutionConfig` in force.  Algorithms
         must route every full search through it (their *incremental* per-k steps
-        operate on the returned state in the calling process), and must assemble
-        their output through :class:`~repro.core.top_down.SweepAssembler` so the
-        returned :class:`DetectionResult` is range-sliceable: the session's query
-        planner runs detectors over *covering* k ranges and serves the individual
-        queries via :meth:`DetectionResult.restrict_k`.  Resumable detectors
-        additionally capture a :class:`~repro.core.top_down.SweepFrontier` on the
-        assembler so the session's result store can later extend the sweep.
+        operate on the returned state in the calling process).  The returned
+        :class:`DetectionResult` holds each k's most general set, which does not
+        depend on where the sweep started, so it is range-sliceable: the session's
+        query planner runs detectors over *covering* k ranges and serves the
+        individual queries via :meth:`DetectionResult.restrict_k`.  Resumable
+        detectors also return a :class:`~repro.core.top_down.SweepFrontier` so the
+        session's result store can later extend the sweep.
         """
 
     def _resume(

@@ -3,8 +3,8 @@
 A child adds one ``attribute = value`` assignment whose attribute index is strictly
 larger than every index already used, so each pattern is generated exactly once.
 The tree precomputes a name → schema-index dictionary once, so the per-expansion
-operations (``max_attribute_index``, ``tree_parent``, ``split_last``) are plain dict
-lookups instead of repeated :meth:`Schema.index` calls in a loop.
+operations (``max_attribute_index``, ``split_last``) are plain dict lookups instead
+of repeated :meth:`Schema.index` calls in a loop.
 """
 
 from __future__ import annotations
@@ -52,22 +52,6 @@ class SearchTree:
     def child_attribute_indices(self, pattern: Pattern) -> range:
         """Schema indices of the attributes that contribute children of ``pattern``."""
         return range(self.max_attribute_index(pattern) + 1, len(self._schema.attributes))
-
-    def count_children(self, pattern: Pattern) -> int:
-        """Number of children ``pattern`` has in the search tree."""
-        start = self.max_attribute_index(pattern) + 1
-        return sum(attribute.cardinality for attribute in self._schema.attributes[start:])
-
-    def graph_parents(self, pattern: Pattern) -> list[Pattern]:
-        """Parents of ``pattern`` in the *pattern graph* (drop one assignment)."""
-        return pattern.parents()
-
-    def tree_parent(self, pattern: Pattern) -> Pattern | None:
-        """The unique parent of ``pattern`` in the search tree (drop the max-index attribute)."""
-        if pattern.is_empty():
-            return None
-        max_name = max(pattern, key=self._index_of.__getitem__)
-        return pattern.without(max_name)
 
     def split_last(self, pattern: Pattern) -> tuple[Pattern, str]:
         """The tree parent of ``pattern`` together with the dropped attribute name."""

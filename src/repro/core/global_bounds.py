@@ -23,8 +23,9 @@ from repro.core.detector import DetectionParameters, Detector, SearchFn
 from repro.core.engine.parallel import ExecutionConfig
 from repro.core.pattern import Pattern
 from repro.core.pattern_graph import PatternCounter
+from repro.core.result_set import DetectionResult
 from repro.core.stats import SearchStats
-from repro.core.top_down import SearchState, SweepAssembler, SweepFrontier, SweepOutcome
+from repro.core.top_down import SearchState, SweepFrontier, SweepOutcome, run_search
 from repro.exceptions import DetectionError
 
 
@@ -58,10 +59,9 @@ class GlobalBoundsDetector(Detector):
     ) -> SweepOutcome:
         parameters = self.parameters
         state = search(parameters.bound, parameters.k_min, parameters.tau_s, stats)
-        sweep = SweepAssembler()
-        sweep.record(parameters.k_min, state)
         return self._advance(
-            counter, stats, search, state, sweep, parameters.k_min + 1
+            counter, stats, search, state, {parameters.k_min: state.most_general()},
+            parameters.k_min + 1,
         )
 
     def _resume(
@@ -76,8 +76,7 @@ class GlobalBoundsDetector(Detector):
         # classification (never on where the sweep started or its old k_max), so
         # resuming from the frontier reproduces the cold run's suffix exactly.
         return self._advance(
-            counter, stats, search, frontier.as_state(), SweepAssembler(),
-            self.parameters.k_min,
+            counter, stats, search, frontier.as_state(), {}, self.parameters.k_min
         )
 
     def _advance(
@@ -86,10 +85,10 @@ class GlobalBoundsDetector(Detector):
         stats: SearchStats,
         search: SearchFn,
         state: SearchState,
-        sweep: SweepAssembler,
+        per_k: dict[int, frozenset[Pattern]],
         k_from: int,
     ) -> SweepOutcome:
-        """Advance ``state`` over ``[k_from, k_max]``, recording each k into ``sweep``."""
+        """Advance ``state`` over ``[k_from, k_max]``, adding each k to ``per_k``."""
         parameters = self.parameters
         bound = parameters.bound
         for k in range(k_from, parameters.k_max + 1):
@@ -98,11 +97,11 @@ class GlobalBoundsDetector(Detector):
                 state = search(bound, k, parameters.tau_s, stats)
             else:
                 self._incremental_step(counter, bound, state, k, stats)
-            sweep.record(k, state)
-        sweep.capture_frontier(
-            SweepFrontier.from_state("global_bounds", parameters.k_max, state)
+            per_k[k] = state.most_general()
+        return SweepOutcome(
+            DetectionResult(per_k),
+            SweepFrontier.from_state("global_bounds", parameters.k_max, state),
         )
-        return sweep.finish_outcome()
 
     def _incremental_step(
         self,
@@ -113,9 +112,7 @@ class GlobalBoundsDetector(Detector):
         stats: SearchStats,
     ) -> None:
         """Advance the search state from ``k - 1`` to ``k`` under an unchanged bound."""
-        dataset_size = counter.dataset_size
-        lower = bound.lower(k, 0, dataset_size)
-        tau_s = self.parameters.tau_s
+        lower = bound.lower(k, 0, counter.dataset_size)
         queue: deque[Pattern] = deque()
 
         # Only below-bound patterns satisfied by the newly added tuple R(D)[k] can
@@ -133,24 +130,6 @@ class GlobalBoundsDetector(Detector):
                 state.expanded[pattern] = new_count
                 queue.append(pattern)
 
-        # Resume the top-down search underneath the patterns that stopped violating.
-        # The queue holds *parents* whose subtree was never explored; popping one
-        # evaluates its children one vectorised sibling block per attribute.
-        while queue:
-            parent = queue.popleft()
-            for block in counter.child_blocks(parent, k):
-                stats.nodes_generated += block.n_children
-                stats.size_computations += block.n_children
-                for child, size, count in block.qualifying(tau_s):
-                    if state.is_visited(child):
-                        # Visited patterns always had adequate size, so the seed
-                        # code skipped them before computing anything.
-                        stats.size_computations -= 1
-                        continue
-                    state.sizes[child] = size
-                    stats.nodes_evaluated += 1
-                    if count < lower:
-                        state.below[child] = count
-                    else:
-                        state.expanded[child] = count
-                        queue.append(child)
+        # Resume Algorithm 1 underneath the patterns that stopped violating: their
+        # subtrees were never explored.
+        run_search(counter, bound, k, self.parameters.tau_s, state, stats, queue)

@@ -18,8 +18,9 @@ from repro.core.bounds import BoundSpec
 from repro.core.detector import DetectionParameters, Detector, SearchFn
 from repro.core.engine.parallel import ExecutionConfig
 from repro.core.pattern_graph import PatternCounter
+from repro.core.result_set import DetectionResult
 from repro.core.stats import SearchStats
-from repro.core.top_down import SweepAssembler, SweepFrontier, SweepOutcome
+from repro.core.top_down import SweepFrontier, SweepOutcome
 
 
 class IterTDDetector(Detector):
@@ -46,16 +47,17 @@ class IterTDDetector(Detector):
         self, counter: PatternCounter, stats: SearchStats, search: SearchFn
     ) -> SweepOutcome:
         parameters = self.parameters
-        sweep = SweepAssembler()
+        per_k = {}
         for k in parameters.k_range():
             # Only the most general patterns are consumed, so the parallel path
             # may return shard-minimal below sets instead of full classifications.
             state = search(parameters.bound, k, parameters.tau_s, stats, classification=False)
-            sweep.record(k, state)
+            per_k[k] = state.most_general()
         # Every k is an independent full search, so the frontier is stateless:
         # extending an IterTD sweep just runs the suffix searches.
-        sweep.capture_frontier(SweepFrontier(algorithm="iter_td", k=parameters.k_max))
-        return sweep.finish_outcome()
+        return SweepOutcome(
+            DetectionResult(per_k), SweepFrontier(algorithm="iter_td", k=parameters.k_max)
+        )
 
     def _resume(
         self,

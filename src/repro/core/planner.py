@@ -11,11 +11,11 @@ work in four distinct ways, each addressed by one layer of this module:
   objects) is recognised by :func:`canonical_query_key` and executed once.
 * **k-range merging** — queries that agree on ``(bound, tau_s, algorithm)`` and
   whose k ranges overlap, nest or touch are folded into one *covering* k-sweep
-  (:func:`plan_queries`).  Every detector assembles its output through
-  :class:`~repro.core.top_down.SweepAssembler`, whose per-k sets are independent
-  of where the sweep started, so the covering run answers each constituent query
-  via :meth:`~repro.core.result_set.DetectionResult.restrict_k` bit-identically
-  to running it alone.
+  (:func:`plan_queries`).  Every detector's per-k sets are independent of where
+  the sweep started (:class:`~repro.core.top_down.SweepOutcome`), so the covering
+  run answers each constituent query via
+  :meth:`~repro.core.result_set.DetectionResult.restrict_k` bit-identically to
+  running it alone.
 * **Cross-query result reuse** — the session's
   :class:`~repro.core.result_store.ResultStore` keeps finished covering sweeps
   (with their resume frontiers) keyed by canonical query + dataset fingerprint

@@ -28,8 +28,15 @@ from repro.core.detector import DetectionParameters, Detector, SearchFn
 from repro.core.engine.parallel import ExecutionConfig
 from repro.core.pattern import Pattern
 from repro.core.pattern_graph import PatternCounter
+from repro.core.result_set import DetectionResult
 from repro.core.stats import SearchStats
-from repro.core.top_down import SearchState, SweepAssembler, SweepFrontier, SweepOutcome
+from repro.core.top_down import (
+    SearchState,
+    SweepFrontier,
+    SweepOutcome,
+    constant_lower_bound,
+    expand_parent,
+)
 
 
 class PropBoundsDetector(Detector):
@@ -63,10 +70,9 @@ class PropBoundsDetector(Detector):
     ) -> SweepOutcome:
         parameters = self.parameters
         state = search(parameters.bound, parameters.k_min, parameters.tau_s, stats)
-        sweep = SweepAssembler()
-        sweep.record(parameters.k_min, state)
         return self._advance(
-            counter, stats, state, sweep, parameters.k_min, parameters.k_min + 1
+            counter, stats, state, {parameters.k_min: state.most_general()},
+            parameters.k_min, parameters.k_min + 1,
         )
 
     def _resume(
@@ -84,8 +90,7 @@ class PropBoundsDetector(Detector):
         # the old k_max are scheduled by the larger horizon exactly as a cold
         # run over the combined range would have scheduled them.
         return self._advance(
-            counter, stats, frontier.as_state(), SweepAssembler(),
-            frontier.k, self.parameters.k_min,
+            counter, stats, frontier.as_state(), {}, frontier.k, self.parameters.k_min
         )
 
     def _advance(
@@ -93,35 +98,37 @@ class PropBoundsDetector(Detector):
         counter: PatternCounter,
         stats: SearchStats,
         state: SearchState,
-        sweep: SweepAssembler,
+        per_k: dict[int, frozenset[Pattern]],
         schedule_k: int,
         k_from: int,
     ) -> SweepOutcome:
         """Schedule the expanded patterns at ``schedule_k``, then advance the
-        incremental steps over ``[k_from, k_max]``, recording each k."""
+        incremental steps over ``[k_from, k_max]``, adding each k to ``per_k``."""
         parameters = self.parameters
         bound = parameters.bound
-        # k-tilde bookkeeping: schedule[k] is the set of expanded patterns whose
+        # k-tilde bookkeeping: schedule[k] holds the expanded patterns whose
         # earliest possible violation is at k; k_tilde_of is the reverse index.
-        schedule: dict[int, set[Pattern]] = defaultdict(set)
+        # Buckets are insertion-ordered dicts, not sets, so step 3 visits due
+        # patterns in the same order under every string-hash seed.
+        schedule: dict[int, dict[Pattern, None]] = defaultdict(dict)
         k_tilde_of: dict[Pattern, int] = {}
         for pattern, count in state.expanded.items():
             self._schedule(bound, state, schedule, k_tilde_of, pattern, count, schedule_k,
                            counter.dataset_size, stats)
         for k in range(k_from, parameters.k_max + 1):
             self._incremental_step(counter, bound, state, schedule, k_tilde_of, k, stats)
-            sweep.record(k, state)
-        sweep.capture_frontier(
-            SweepFrontier.from_state("prop_bounds", parameters.k_max, state)
+            per_k[k] = state.most_general()
+        return SweepOutcome(
+            DetectionResult(per_k),
+            SweepFrontier.from_state("prop_bounds", parameters.k_max, state),
         )
-        return sweep.finish_outcome()
 
     # -- k-tilde bookkeeping ---------------------------------------------------
     def _schedule(
         self,
         bound: BoundSpec,
         state: SearchState,
-        schedule: dict[int, set[Pattern]],
+        schedule: dict[int, dict[Pattern, None]],
         k_tilde_of: dict[Pattern, int],
         pattern: Pattern,
         count: int,
@@ -136,18 +143,18 @@ class PropBoundsDetector(Detector):
         )
         if k_tilde is not None:
             k_tilde_of[pattern] = k_tilde
-            schedule[k_tilde].add(pattern)
+            schedule[k_tilde][pattern] = None
             stats.bump("k_tilde_scheduled")
 
     @staticmethod
     def _unschedule(
-        schedule: dict[int, set[Pattern]],
+        schedule: dict[int, dict[Pattern, None]],
         k_tilde_of: dict[Pattern, int],
         pattern: Pattern,
     ) -> None:
         previous = k_tilde_of.pop(pattern, None)
         if previous is not None:
-            schedule[previous].discard(pattern)
+            schedule[previous].pop(pattern, None)
 
     # -- incremental step --------------------------------------------------------
     def _incremental_step(
@@ -155,13 +162,12 @@ class PropBoundsDetector(Detector):
         counter: PatternCounter,
         bound: BoundSpec,
         state: SearchState,
-        schedule: dict[int, set[Pattern]],
+        schedule: dict[int, dict[Pattern, None]],
         k_tilde_of: dict[Pattern, int],
         k: int,
         stats: SearchStats,
     ) -> None:
         dataset_size = counter.dataset_size
-        tau_s = self.parameters.tau_s
         queue: deque[Pattern] = deque()
         stats.bump("incremental_steps")
 
@@ -199,32 +205,20 @@ class PropBoundsDetector(Detector):
                                dataset_size, stats)
                 queue.append(pattern)
 
-        # Step 2: resume the top-down search underneath the newly expanded patterns.
-        # The queue holds *parents* whose subtree was never explored; popping one
-        # evaluates its children one vectorised sibling block per attribute.
+        # Step 2: resume Algorithm 1 underneath the newly expanded patterns; every
+        # pattern it expands is scheduled before its own subtree is queued.
+        def expanded(child: Pattern) -> None:
+            self._schedule(bound, state, schedule, k_tilde_of, child, state.expanded[child],
+                           k, dataset_size, stats)
+            queue.append(child)
+
+        constant_lower = constant_lower_bound(bound, k, dataset_size)
         while queue:
-            parent = queue.popleft()
-            for block in counter.child_blocks(parent, k):
-                stats.nodes_generated += block.n_children
-                stats.size_computations += block.n_children
-                for child, size, count in block.qualifying(tau_s):
-                    if state.is_visited(child):
-                        # Visited patterns always had adequate size, so the seed
-                        # code skipped them before computing anything.
-                        stats.size_computations -= 1
-                        continue
-                    state.sizes[child] = size
-                    stats.nodes_evaluated += 1
-                    if count < bound.lower(k, size, dataset_size):
-                        state.below[child] = count
-                    else:
-                        state.expanded[child] = count
-                        self._schedule(bound, state, schedule, k_tilde_of, child, count, k,
-                                       dataset_size, stats)
-                        queue.append(child)
+            expand_parent(counter, bound, k, self.parameters.tau_s, dataset_size, state,
+                          stats, queue.popleft(), constant_lower, expanded)
 
         # Step 3: expanded patterns whose k-tilde is due (and were not bumped past it).
-        due = schedule.pop(k, set())
+        due = schedule.pop(k, {})
         for pattern in due:
             if pattern not in state.expanded:
                 continue

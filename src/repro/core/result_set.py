@@ -1,11 +1,12 @@
 """Result containers for the detection algorithms.
 
-:class:`MostGeneralSet` maintains an antichain of patterns under the subsumption
-order — exactly the "most general patterns" the problem definitions ask for.
-:class:`DetectionResult` maps each ``k`` in the requested range to its set of
-detected groups and offers the ranking/formatting helpers suggested in Section III
-("a user-friendly interface would organize the output by k value and rank the groups
-by their overall size in the data or by the bias in their representation").
+:func:`minimal_patterns` computes the antichain of a set of patterns under the
+subsumption order — exactly the "most general patterns" the problem definitions ask
+for.  :class:`DetectionResult` maps each ``k`` in the requested range to its set of
+detected groups, and :func:`ordered_groups` ranks a ``k``'s groups the two ways
+Section III suggests ("a user-friendly interface would organize the output by k
+value and rank the groups by their overall size in the data or by the bias in their
+representation").
 """
 
 from __future__ import annotations
@@ -17,69 +18,6 @@ from typing import Iterable, Iterator, Mapping
 
 from repro.core.pattern import Pattern
 from repro.exceptions import DetectionError
-
-
-class MostGeneralSet:
-    """An antichain of patterns: no member is a (proper) subset of another.
-
-    ``add`` enforces the most-general invariant: a pattern subsumed by an existing
-    member is rejected, and adding a pattern removes any existing members that it
-    subsumes.
-    """
-
-    def __init__(self, patterns: Iterable[Pattern] = ()) -> None:
-        self._patterns: set[Pattern] = set()
-        for pattern in patterns:
-            self.add(pattern)
-
-    def add(self, pattern: Pattern) -> bool:
-        """Insert ``pattern`` if no more-general member exists.
-
-        Returns ``True`` when the pattern was inserted, ``False`` when an existing
-        member already subsumes it.
-        """
-        if self.contains_subset_of(pattern):
-            return False
-        self._patterns = {member for member in self._patterns if not pattern.is_proper_subset_of(member)}
-        self._patterns.add(pattern)
-        return True
-
-    def copy(self) -> "MostGeneralSet":
-        """An independent copy: later ``add``/``discard`` calls on either set never
-        show through to the other.  Callers assembling per-k sweeps from live
-        antichains snapshot them with this before mutating further; the result
-        cache itself needs no copies — :class:`DetectionResult` freezes its
-        inputs at construction and :meth:`DetectionResult.restrict_k` slices
-        only immutable sets."""
-        duplicate = MostGeneralSet()
-        duplicate._patterns = set(self._patterns)
-        return duplicate
-
-    def discard(self, pattern: Pattern) -> None:
-        self._patterns.discard(pattern)
-
-    def contains_subset_of(self, pattern: Pattern) -> bool:
-        """Whether some member is a (non-strict) subset of ``pattern``."""
-        return any(member.is_subset_of(pattern) for member in self._patterns)
-
-    def contains_proper_subset_of(self, pattern: Pattern) -> bool:
-        """Whether some member is a proper subset of ``pattern``."""
-        return any(member.is_proper_subset_of(pattern) for member in self._patterns)
-
-    def __contains__(self, pattern: object) -> bool:
-        return pattern in self._patterns
-
-    def __iter__(self) -> Iterator[Pattern]:
-        return iter(self._patterns)
-
-    def __len__(self) -> int:
-        return len(self._patterns)
-
-    def __repr__(self) -> str:
-        return f"MostGeneralSet({sorted(p.describe() for p in self._patterns)})"
-
-    def as_frozenset(self) -> frozenset[Pattern]:
-        return frozenset(self._patterns)
 
 
 def minimal_patterns(patterns: Iterable[Pattern]) -> frozenset[Pattern]:
@@ -164,6 +102,20 @@ class DetectedGroup:
         )
 
 
+def ordered_groups(groups: Iterable[DetectedGroup], order_by: str) -> list[DetectedGroup]:
+    """``groups`` in one of the two orderings Section III proposes for presenting results.
+
+    ``order_by`` is ``"size"`` (overall group size, descending) or ``"bias"`` (gap
+    between required and actual representation, descending); ties break by the
+    pattern's description.  ``order_by`` is checked before ``groups`` is consumed.
+    """
+    if order_by == "size":
+        return sorted(groups, key=lambda group: (-group.size_in_data, group.pattern.describe()))
+    if order_by == "bias":
+        return sorted(groups, key=lambda group: (-group.bias_gap, group.pattern.describe()))
+    raise DetectionError("order_by must be 'size' or 'bias'")
+
+
 class DetectionResult(Mapping[int, frozenset[Pattern]]):
     """Per-``k`` sets of most general patterns with biased representation."""
 
@@ -214,7 +166,7 @@ class DetectionResult(Mapping[int, frozenset[Pattern]]):
         any nested query by restriction, bit-identically to running that query
         alone.  The returned result is independent of this one — per-k sets are
         rebuilt, so cached sweeps are never aliased by the slices handed out
-        (:class:`MostGeneralSet` inputs are likewise copied at construction).
+        (mutable inputs are likewise copied at construction).
         """
         if k_min > k_max:
             raise DetectionError(f"restrict_k needs k_min <= k_max, got [{k_min}, {k_max}]")

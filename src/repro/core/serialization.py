@@ -40,7 +40,7 @@ from typing import Mapping
 from repro.core.bounds import BoundSpec, GlobalBoundSpec, ProportionalBoundSpec
 from repro.core.detector import DetectionParameters, DetectionReport
 from repro.core.pattern import Pattern
-from repro.core.result_set import DetectedGroup, DetectionResult
+from repro.core.result_set import DetectedGroup, DetectionResult, ordered_groups
 from repro.core.stats import COUNTER_TYPES, SearchStats
 from repro.core.top_down import SweepFrontier
 from repro.exceptions import DetectionError
@@ -440,14 +440,7 @@ class LoadedReport:
         return self.result.groups_at(k)
 
     def detailed_groups(self, k: int, order_by: str = "size") -> list[DetectedGroup]:
-        if order_by not in {"size", "bias"}:
-            raise DetectionError("order_by must be 'size' or 'bias'")
-        groups = list(self.groups.get(k, ()))
-        if order_by == "size":
-            groups.sort(key=lambda group: (-group.size_in_data, group.pattern.describe()))
-        else:
-            groups.sort(key=lambda group: (-group.bias_gap, group.pattern.describe()))
-        return groups
+        return ordered_groups(self.groups.get(k, ()), order_by)
 
 
 def report_from_dict(data: Mapping[str, object]) -> LoadedReport:

@@ -455,8 +455,8 @@ class AuditSession:
         The missing k *suffix* (``entry.k_max < k_max``) resumes the cached
         :class:`~repro.core.top_down.SweepFrontier`; the missing *prefix*
         (``k_min < entry.k_min``) is a bounded cold sub-sweep over
-        ``[k_min, entry.k_min - 1]``.  :class:`~repro.core.top_down.SweepAssembler`
-        treats every k independently, so splicing the three pieces with
+        ``[k_min, entry.k_min - 1]``.  Every detector's per-k sets are independent
+        of where its sweep started, so splicing the three pieces with
         :meth:`~repro.core.result_set.DetectionResult.merged_with` is
         bit-identical to one cold covering run.
 

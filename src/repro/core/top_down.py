@@ -16,12 +16,14 @@ size / top-k-count computation — instead of one Python-level mask per child, a
 repeated sweeps over a k range reuse cached prefix-count blocks.
 
 The traversal is factored into :func:`expand_parent` (classify the children of one
-node) and :func:`run_search` (drain a work queue of parents) so the parallel
-executor (:mod:`repro.core.engine.parallel`) can reuse the exact serial loop: the
-coordinator classifies the root level with one :func:`expand_parent` call, ships the
-expanded single-attribute roots to worker processes as disjoint subtrees
-(Definition 4.1 — each child only adds larger-index attributes, so first-level
-subtrees never overlap), and each worker drains its shard with :func:`run_search`.
+node) and :func:`run_search` (drain a work queue of parents), the only code that
+classifies children.  The parallel executor (:mod:`repro.core.engine.parallel`)
+reuses the exact serial loop: the coordinator classifies the root level with one
+:func:`expand_parent` call, ships the expanded single-attribute roots to worker
+processes as disjoint subtrees (Definition 4.1 — each child only adds larger-index
+attributes, so first-level subtrees never overlap), and each worker drains its
+shard with :func:`run_search`.  GlobalBounds and PropBounds (Algorithms 2 and 3)
+resume the same loop beneath the patterns that stop violating.
 """
 
 from __future__ import annotations
@@ -55,9 +57,6 @@ class SearchState:
     def most_general(self) -> frozenset[Pattern]:
         """The most general below-bound patterns (the result set for the current k)."""
         return minimal_patterns(self.below)
-
-    def is_visited(self, pattern: Pattern) -> bool:
-        return pattern in self.below or pattern in self.expanded
 
     def merge(self, other: "SearchState") -> "SearchState":
         """Fold ``other``'s classification into this state in place and return it.
@@ -143,58 +142,19 @@ class SweepFrontier:
 @dataclass
 class SweepOutcome:
     """What one executed k-sweep produced: its result and (when the algorithm
-    supports resuming) the frontier from which the sweep can be extended."""
+    supports resuming) the frontier from which the sweep can be extended.
+
+    Every detector fills ``result`` with one most general set per ``k``
+    (:meth:`SearchState.most_general`).  Because each algorithm's per-k set
+    equals what a fresh Algorithm-1 search at that ``k`` reports, a sweep over a
+    covering range ``[k_min, k_max]`` answers any nested sub-range query through
+    :meth:`DetectionResult.restrict_k` bit-identically to running that query
+    alone — the invariant the query planner's merged plans and the result
+    store's containment hits rely on.
+    """
 
     result: DetectionResult
     frontier: SweepFrontier | None = None
-
-
-class SweepAssembler:
-    """Shared per-k result assembly of one (possibly covering) k-sweep.
-
-    Every detector records its per-k output here instead of building an ad-hoc
-    ``dict``: :meth:`record` snapshots the most general below-bound patterns of a
-    search state at ``k``, :meth:`finish` wraps the recorded range into a
-    :class:`~repro.core.result_set.DetectionResult`.  Because each algorithm's
-    per-k set equals what a fresh Algorithm-1 search at that ``k`` reports, a
-    sweep recorded for a covering range ``[k_min, k_max]`` answers any nested
-    sub-range query through :meth:`DetectionResult.restrict_k` bit-identically to
-    running that query alone — the invariant the query planner's merged plans and
-    the session result cache's containment hits rely on.
-
-    A detector that supports resumable sweeps additionally captures a
-    :class:`SweepFrontier` (:meth:`capture_frontier`) before finishing;
-    :meth:`finish_outcome` bundles both into a :class:`SweepOutcome` for the
-    session's result store.
-    """
-
-    def __init__(self) -> None:
-        self._per_k: dict[int, frozenset[Pattern]] = {}
-        self._frontier: SweepFrontier | None = None
-
-    def record(self, k: int, state: SearchState) -> None:
-        """Snapshot the most general below-bound patterns of ``state`` at ``k``."""
-        self._per_k[k] = state.most_general()
-
-    def record_patterns(self, k: int, patterns) -> None:
-        """Record an explicitly assembled pattern set (non-search detectors)."""
-        self._per_k[k] = frozenset(patterns)
-
-    def capture_frontier(self, frontier: SweepFrontier) -> None:
-        """Attach the resume state of the finished sweep."""
-        self._frontier = frontier
-
-    @property
-    def frontier(self) -> SweepFrontier | None:
-        return self._frontier
-
-    def finish(self) -> DetectionResult:
-        """The recorded sweep as a range-sliceable :class:`DetectionResult`."""
-        return DetectionResult(self._per_k)
-
-    def finish_outcome(self) -> SweepOutcome:
-        """The recorded sweep plus its captured frontier (if any)."""
-        return SweepOutcome(result=self.finish(), frontier=self._frontier)
 
 
 def constant_lower_bound(bound: BoundSpec, k: int, dataset_size: int) -> float | None:
@@ -219,28 +179,42 @@ def expand_parent(
     constant_lower: float | None,
     expanded_sink: Callable[[Pattern], None],
 ) -> None:
-    """Classify every child of ``parent`` (the body of Algorithm 1's loop).
+    """Classify every unvisited child of ``parent`` (the body of Algorithm 1's loop).
 
     Children are evaluated one vectorised sibling block per attribute: sizes and
     top-k counts of a whole block come from a single batched computation (or a
     cached prefix-count block on repeated sweeps); children pruned by the size
     threshold never materialise Pattern objects at all.  Expanded children are
     handed to ``expanded_sink`` — the work queue's ``append`` in the serial loop,
-    a shard list's ``append`` in the parallel coordinator's root pass.
+    a shard list's ``append`` in the parallel coordinator's root pass, the
+    k-tilde scheduler in PropBounds.
+
+    A child already in ``below`` or ``expanded`` is skipped before any work on
+    it.  A fresh search never meets one (every pattern has exactly one
+    search-tree parent); GlobalBounds and PropBounds resume this loop under
+    patterns that stopped violating, and PropBounds can promote a pattern whose
+    children were classified before it was demoted.  A visited pattern's size is
+    already known, so it is taken back out of ``size_computations``.  Membership
+    is tested in the two classification dicts, not in ``sizes``, which a stored
+    frontier may carry beyond them.
     """
+    below, expanded, sizes = state.below, state.expanded, state.sizes
     for block in counter.child_blocks(parent, k):
         stats.nodes_generated += block.n_children
         stats.size_computations += block.n_children
         for child, size, count in block.qualifying(tau_s):
-            state.sizes[child] = size
+            if child in below or child in expanded:
+                stats.size_computations -= 1
+                continue
+            sizes[child] = size
             stats.nodes_evaluated += 1
             lower = constant_lower if constant_lower is not None else bound.lower(
                 k, size, dataset_size
             )
             if count < lower:
-                state.below[child] = count
+                below[child] = count
             else:
-                state.expanded[child] = count
+                expanded[child] = count
                 expanded_sink(child)
 
 
@@ -258,7 +232,9 @@ def run_search(
     Seeding the queue with :data:`~repro.core.pattern.EMPTY_PATTERN` yields the full
     Algorithm 1 traversal; seeding it with expanded single-attribute patterns runs
     the same traversal restricted to their (disjoint) subtrees, which is how worker
-    processes execute one shard of a parallel search.
+    processes execute one shard of a parallel search; seeding it with patterns
+    that stopped violating resumes the search underneath them, which is
+    GlobalBounds' incremental step.
     """
     dataset_size = counter.dataset_size
     constant_lower = constant_lower_bound(bound, k, dataset_size)

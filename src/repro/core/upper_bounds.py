@@ -23,7 +23,7 @@ from repro.core.pattern import EMPTY_PATTERN, Pattern
 from repro.core.pattern_graph import PatternCounter
 from repro.core.result_set import DetectionResult, minimal_patterns
 from repro.core.stats import SearchStats
-from repro.core.top_down import SweepAssembler, SweepFrontier, SweepOutcome
+from repro.core.top_down import SweepFrontier, SweepOutcome
 from repro.exceptions import DetectionError
 
 
@@ -144,7 +144,7 @@ class UpperBoundsDetector(Detector):
         parameters = self.parameters
         bound = parameters.bound
         dataset_size = counter.dataset_size
-        sweep = SweepAssembler()
+        per_k = {}
         for k in parameters.k_range():
             violating = set()
             for pattern, size in candidates.items():
@@ -152,15 +152,13 @@ class UpperBoundsDetector(Detector):
                 stats.nodes_evaluated += 1
                 if bound.violates_upper(count, k, size, dataset_size):
                     violating.add(pattern)
-            sweep.record_patterns(k, violating)
+            per_k[k] = violating
         # The candidate sizes ride in the frontier's `sizes` slot so extensions
         # skip the substantial-pattern enumeration entirely.
-        sweep.capture_frontier(
-            SweepFrontier(
-                algorithm="upper_bounds", k=parameters.k_max, sizes=dict(candidates)
-            )
+        return SweepOutcome(
+            DetectionResult(per_k),
+            SweepFrontier(algorithm="upper_bounds", k=parameters.k_max, sizes=dict(candidates)),
         )
-        return sweep.finish_outcome()
 
 
 def most_general_above_upper(

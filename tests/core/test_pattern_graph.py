@@ -40,19 +40,6 @@ class TestSearchTree:
             tree.children(Pattern({"School": "GP"}))
         )
 
-    def test_count_children_matches_generated(self, toy):
-        dataset, _ = toy
-        tree = SearchTree(dataset)
-        for pattern in (EMPTY_PATTERN, Pattern({"School": "GP"}), Pattern({"Failures": 0})):
-            assert tree.count_children(pattern) == len(list(tree.children(pattern)))
-
-    def test_tree_parent(self, toy):
-        dataset, _ = toy
-        tree = SearchTree(dataset)
-        pattern = Pattern({"Gender": "F", "Failures": 1})
-        assert tree.tree_parent(pattern) == Pattern({"Gender": "F"})
-        assert tree.tree_parent(EMPTY_PATTERN) is None
-
     def test_every_pattern_generated_exactly_once(self, toy):
         """Traversing the search tree enumerates the full pattern space without repeats."""
         dataset, _ = toy

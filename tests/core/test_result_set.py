@@ -7,47 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.pattern import Pattern
-from repro.core.result_set import (
-    DetectedGroup,
-    DetectionResult,
-    MostGeneralSet,
-    minimal_patterns,
-)
-
-
-class TestMostGeneralSet:
-    def test_add_rejects_subsumed_patterns(self):
-        antichain = MostGeneralSet()
-        assert antichain.add(Pattern({"a": 1}))
-        assert not antichain.add(Pattern({"a": 1, "b": 2}))
-        assert len(antichain) == 1
-        assert Pattern({"a": 1}) in antichain
-
-    def test_add_removes_subsumed_members(self):
-        antichain = MostGeneralSet([Pattern({"a": 1, "b": 2}), Pattern({"c": 3})])
-        assert antichain.add(Pattern({"a": 1}))
-        assert antichain.as_frozenset() == frozenset({Pattern({"a": 1}), Pattern({"c": 3})})
-
-    def test_incomparable_patterns_coexist(self):
-        antichain = MostGeneralSet([Pattern({"a": 1}), Pattern({"a": 2}), Pattern({"b": 1})])
-        assert len(antichain) == 3
-
-    def test_discard_and_contains_subset(self):
-        antichain = MostGeneralSet([Pattern({"a": 1})])
-        assert antichain.contains_subset_of(Pattern({"a": 1, "b": 2}))
-        assert not antichain.contains_proper_subset_of(Pattern({"a": 1}))
-        antichain.discard(Pattern({"a": 1}))
-        assert len(antichain) == 0
-
-    def test_copy_is_independent(self):
-        original = MostGeneralSet([Pattern({"a": 1}), Pattern({"b": 2})])
-        duplicate = original.copy()
-        assert duplicate.as_frozenset() == original.as_frozenset()
-        duplicate.add(Pattern({"c": 3}))
-        original.discard(Pattern({"a": 1}))
-        assert Pattern({"c": 3}) not in original
-        assert Pattern({"a": 1}) in duplicate
-        assert len(original) == 1 and len(duplicate) == 3
+from repro.core.result_set import DetectedGroup, DetectionResult, minimal_patterns
 
 
 class TestMinimalPatterns:
@@ -170,10 +130,10 @@ class TestDetectionResult:
             sweep.restrict_k(9, 8)
 
     def test_restrict_k_never_aliases_mutable_inputs(self):
-        """A result sliced out of a sweep built from MostGeneralSet values stays
-        stable if the originating sets are mutated afterwards."""
-        live = MostGeneralSet([Pattern({"a": 1})])
-        sweep = DetectionResult({5: live, 6: live.copy()})
+        """A result sliced out of a sweep built from mutable sets stays stable if
+        the originating sets are mutated afterwards."""
+        live = {Pattern({"a": 1})}
+        sweep = DetectionResult({5: live, 6: set(live)})
         sliced = sweep.restrict_k(5, 6)
         live.add(Pattern({"b": 2}))
         live.discard(Pattern({"a": 1}))

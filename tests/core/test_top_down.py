@@ -5,9 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.core.bounds import GlobalBoundSpec, ProportionalBoundSpec
-from repro.core.pattern import Pattern
+from repro.core.pattern import EMPTY_PATTERN, Pattern
 from repro.core.stats import SearchStats
-from repro.core.top_down import top_down_search
+from repro.core.top_down import (
+    SearchState,
+    constant_lower_bound,
+    expand_parent,
+    top_down_search,
+)
 
 
 class TestGlobalBoundSearch:
@@ -76,8 +81,36 @@ class TestProportionalBoundSearch:
             assert state.sizes[pattern] >= 5
 
 
-class TestSearchState:
-    def test_is_visited(self, toy_counter):
+class TestExpandParent:
+    """The one child loop skips children already classified below or expanded."""
+
+    @staticmethod
+    def _expand_root(counter, state, k=4, tau_s=4):
+        bound = GlobalBoundSpec(lower_bounds=2)
+        stats = SearchStats()
+        sunk: list[Pattern] = []
+        expand_parent(
+            counter, bound, k, tau_s, counter.dataset_size, state, stats, EMPTY_PATTERN,
+            constant_lower_bound(bound, k, counter.dataset_size), sunk.append,
+        )
+        return stats, sunk
+
+    def test_visited_children_are_skipped_and_uncounted(self, toy_counter):
         state = top_down_search(toy_counter, GlobalBoundSpec(lower_bounds=2), k=4, tau_s=4)
-        assert state.is_visited(Pattern({"Address": "U"}))
-        assert not state.is_visited(Pattern({"Address": "U", "Gender": "F", "School": "GP"}))
+        before = SearchState(dict(state.below), dict(state.expanded), dict(state.sizes))
+        roots = [p for p in list(state.below) + list(state.expanded) if len(p) == 1]
+        assert roots
+        stats, sunk = self._expand_root(toy_counter, state)
+        assert sunk == [] and stats.nodes_evaluated == 0
+        assert stats.size_computations == stats.nodes_generated - len(roots)
+        assert state == before
+
+    def test_a_size_only_entry_is_still_classified(self, toy_counter):
+        """A stored frontier may carry ``sizes`` keys beyond below and expanded;
+        such a child is classified, not skipped."""
+        fresh_stats, fresh_sunk = self._expand_root(toy_counter, SearchState())
+        state = SearchState(sizes={Pattern({"Address": "U"}): 8})
+        stats, sunk = self._expand_root(toy_counter, state)
+        assert Pattern({"Address": "U"}) in state.below
+        assert sunk == fresh_sunk
+        assert stats == fresh_stats
