@@ -73,22 +73,19 @@ class TestCheckRegressionMain:
         path.write_text(json.dumps(artifact))
         return str(path)
 
-    def _args(self, tmp_path, current, planner=None):
+    def _args(self, tmp_path, current):
         return [
             "--current", self._write(tmp_path / "current.json", current),
             "--baseline", self._write(tmp_path / "baseline.json", self.BASELINE),
-            "--planner", str(planner or tmp_path / "absent.json"),
         ]
 
     def test_committed_artifacts_pass(self, capsys):
         assert main([]) == 0
-        assert "planner gates passed" in capsys.readouterr().out
+        assert "throughput regression check passed" in capsys.readouterr().out
 
-    def test_unchanged_artifact_passes_without_a_planner_artifact(self, tmp_path, capsys):
+    def test_unchanged_artifact_passes(self, tmp_path, capsys):
         assert main(self._args(tmp_path, self.BASELINE)) == 0
-        out = capsys.readouterr().out
-        assert "skipping the planner gates" in out
-        assert "throughput regression check passed" in out
+        assert "throughput regression check passed" in capsys.readouterr().out
 
     def test_regression_exits_1_and_lists_the_problem(self, tmp_path, capsys):
         current = copy.deepcopy(self.BASELINE)
@@ -98,16 +95,11 @@ class TestCheckRegressionMain:
         assert "FAILED" in out
         assert "w/global/IterTD" in out
 
-    def test_failing_planner_artifact_fails_the_check(self, tmp_path, capsys):
-        planner = self._write(tmp_path / "planner.json", {"summary": {}})
-        assert main(self._args(tmp_path, self.BASELINE, planner)) == 1
-        assert "planner artifact has no summary.gates mapping" in capsys.readouterr().out
-
     def test_missing_artifacts_exit_2(self, tmp_path):
         args = self._args(tmp_path, self.BASELINE)
         absent = str(tmp_path / "absent.json")
         assert main(["--current", absent] + args[2:]) == 2
-        assert main(args[:2] + ["--baseline", absent] + args[4:]) == 2
+        assert main(args[:2] + ["--baseline", absent]) == 2
 
 
 @pytest.mark.bench_smoke

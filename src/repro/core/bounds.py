@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import abc
 import math
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
 
 from repro.exceptions import BoundSpecError
 

@@ -157,11 +157,6 @@ class Detector(abc.ABC):
     #: parallel executor that would receive zero tasks.
     uses_search: bool = True
 
-    #: Whether finished sweeps capture a :class:`~repro.core.top_down.SweepFrontier`
-    #: and :meth:`_resume` can extend them to a larger ``k_max``.  The built-in
-    #: detectors are resumable; third-party subclasses default to one-shot.
-    resumable: bool = False
-
     def __init__(self, parameters: DetectionParameters) -> None:
         self.parameters = parameters
 

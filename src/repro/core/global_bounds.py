@@ -33,7 +33,6 @@ class GlobalBoundsDetector(Detector):
     """Incremental detector for Problem 3.1 (global representation bounds)."""
 
     name = "GlobalBounds"
-    resumable = True
 
     def __init__(
         self,

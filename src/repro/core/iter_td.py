@@ -27,7 +27,6 @@ class IterTDDetector(Detector):
     """Iterative top-down baseline: one full search per ``k``."""
 
     name = "IterTD"
-    resumable = True
 
     def __init__(
         self,

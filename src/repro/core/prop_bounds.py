@@ -49,7 +49,6 @@ class PropBoundsDetector(Detector):
     """
 
     name = "PropBounds"
-    resumable = True
 
     def __init__(
         self,

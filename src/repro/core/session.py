@@ -497,8 +497,6 @@ class AuditSession:
             detector = _sub_query(entry.k_max + 1, step.query.k_max).build_detector(
                 self._execution
             )
-            if not detector.resumable:
-                return None, None
             try:
                 suffix_outcome, stats = self._execute(
                     detector,

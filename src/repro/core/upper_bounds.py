@@ -64,7 +64,8 @@ def most_specific_substantial(
     """The most specific substantial patterns (no strict specialisation stays substantial).
 
     Because size is anti-monotone it suffices to check the immediate children in the
-    *pattern graph* (adding any single attribute-value pair).
+    *pattern graph* (adding any single attribute-value pair).  The substantial set is
+    complete, so a child missing from it is below ``tau_s`` and needs no size count.
     """
     stats = stats if stats is not None else SearchStats()
     schema = counter.dataset.schema
@@ -76,12 +77,7 @@ def most_specific_substantial(
             if attribute.name in pattern:
                 continue
             for value in attribute.values:
-                child = pattern.extend(attribute.name, value)
-                child_size = substantial.get(child)
-                if child_size is None:
-                    child_size = counter.size(child)
-                    stats.size_computations += 1
-                if child_size >= tau_s:
+                if pattern.extend(attribute.name, value) in substantial:
                     is_most_specific = False
                     break
             if not is_most_specific:
@@ -98,7 +94,6 @@ class UpperBoundsDetector(Detector):
     # The candidate enumeration is a plain size-threshold traversal, not a
     # bound-driven top-down search; no full searches means no parallel executor.
     uses_search = False
-    resumable = True
 
     def __init__(
         self,

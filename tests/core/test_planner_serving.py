@@ -8,7 +8,8 @@ more nodes than that loop.
 
 The suites randomize thresholds and k ranges (seeded, so failures replay),
 cover all three lower-bound algorithms plus UpperBounds, and exercise serial
-and two- and three-worker process execution.
+and two- and three-worker process execution.  A range served by extending a
+stored sweep must also do less engine work than a covering re-run.
 """
 
 from __future__ import annotations
@@ -18,10 +19,15 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.bounds import GlobalBoundSpec, ProportionalBoundSpec
+from repro.core.bounds import (
+    GlobalBoundSpec,
+    ProportionalBoundSpec,
+    paper_default_global_bounds,
+    paper_default_proportional_bounds,
+)
 from repro.core.engine.parallel import ExecutionConfig
 from repro.core.planner import DetectionQuery
-from repro.core.result_store import DiskResultStore
+from repro.core.result_store import DiskResultStore, InMemoryResultStore
 from repro.core.session import AuditSession, detect_biased_groups
 from repro.core.tuning import threshold_sweep
 from repro.data.synthetic import SyntheticSpec, synthetic_dataset
@@ -197,6 +203,57 @@ class TestTwoSidedExtension:
         assert widened.result == cold.result
         assert widened.stats.result_cache_partial_hits == 1
         assert widened.stats.prefix_extended_k_values == 4
+
+
+# -- extension work ---------------------------------------------------------------------
+class TestExtensionWork:
+    """Extending a stored sweep computes only the uncovered k values, so it does
+    less engine work than a fresh session's covering re-run and never evaluates
+    more nodes."""
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        return _instance(1109, 1500, [2, 3, 2, 4, 3, 2])
+
+    @pytest.mark.parametrize(
+        "stored,asked",
+        [
+            pytest.param((10, 30), (15, 55), id="suffix"),
+            pytest.param((20, 40), (10, 39), id="prefix"),
+            pytest.param((20, 40), (12, 50), id="both_sides"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "algorithm,bound",
+        [
+            pytest.param("iter_td", paper_default_global_bounds(), id="iter_td"),
+            pytest.param("global_bounds", GlobalBoundSpec(lower_bounds=15.0), id="global_bounds"),
+            pytest.param("prop_bounds", paper_default_proportional_bounds(), id="prop_bounds"),
+        ],
+    )
+    def test_extension_does_less_work_than_a_covering_rerun(
+        self, instance, algorithm, bound, stored, asked
+    ):
+        dataset, ranking = instance
+        store = InMemoryResultStore()
+        with AuditSession(dataset, ranking, store=store) as primer:
+            primer.run(DetectionQuery(bound, 8, *stored, algorithm))
+        query = DetectionQuery(bound, 8, *asked, algorithm)
+        with AuditSession(dataset, ranking, store=store) as session:
+            served = session.run(query)
+        with AuditSession(dataset, ranking) as control_session:
+            control = control_session.run(query)
+        assert served.result == control.result
+        assert served.stats.result_cache_partial_hits == 1
+        assert served.stats.prefix_extended_k_values == max(0, stored[0] - asked[0])
+        assert served.stats.extended_k_values == max(0, asked[1] - stored[1])
+        assert served.stats.nodes_evaluated <= control.stats.nodes_evaluated
+        if algorithm == "iter_td":
+            # A fresh IterTD engine builds the same sibling blocks whatever the
+            # k range, so the saving shows in the per-k root searches.
+            assert served.stats.full_searches < control.stats.full_searches
+        else:
+            assert served.stats.batch_evaluations < control.stats.batch_evaluations
 
 
 # -- process shards ---------------------------------------------------------------------

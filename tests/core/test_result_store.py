@@ -7,7 +7,7 @@ The contract under test, in order of importance:
   and the reports are identical to cold per-query runs, for all algorithms,
   serial and ``workers=2``, including randomized two-phase query mixes — while
   performing strictly fewer ``full_searches`` and ``batch_evaluations`` than
-  the cold covering re-runs;
+  the cold covering re-runs, without evaluating more nodes;
 * **cross-process persistence** — a sweep saved through a
   :class:`DiskResultStore` in one session serves containment *and* partial hits
   in a genuinely fresh process, bit-identically;
@@ -106,9 +106,11 @@ class TestFrontierExtension:
         assert extended.stats.extended_k_values == 25
         assert extended.stats.result_cache_misses == 0
         # Strictly fewer full searches and batch evaluations than the cold
-        # covering re-run the pre-extension planner would have performed.
+        # covering re-run the pre-extension planner would have performed, and
+        # no more node evaluations.
         assert extended.stats.full_searches < max(cold.stats.full_searches, 1)
         assert extended.stats.batch_evaluations < cold.stats.batch_evaluations
+        assert extended.stats.nodes_evaluated <= cold.stats.nodes_evaluated
 
     def test_extension_widens_the_cached_sweep(self, ):
         dataset, ranking = _instance(313, 56, [2, 2, 3], 1.1)
@@ -279,18 +281,27 @@ class TestDiskStore:
         ).result
         assert original.result.restrict_k(5, 30) == contained.result
 
-    def test_round_trip_in_a_fresh_process(self, tmp_path):
+    @pytest.mark.parametrize(
+        "algorithm,bound",
+        [
+            pytest.param("iter_td", STEP, id="iter_td"),
+            pytest.param("global_bounds", STEP, id="global_bounds"),
+            pytest.param("prop_bounds", PROP, id="prop_bounds"),
+        ],
+    )
+    def test_round_trip_in_a_fresh_process(self, tmp_path, algorithm, bound):
         """The acceptance criterion's cross-process leg: save in one session,
         serve a containment hit and a partial (extension) hit in a genuinely
-        fresh Python process, bit-identically to cold runs."""
+        fresh Python process, bit-identically to cold runs; the containment hit
+        does no engine work at all."""
         dataset, ranking = _instance(413, 56, [2, 3], 1.0)
         with AuditSession(dataset, ranking, store=DiskResultStore(tmp_path)) as session:
-            session.run(DetectionQuery(PROP, 2, 2, 30, "prop_bounds"))
+            session.run(DetectionQuery(bound, 2, 2, 30, algorithm))
         out_path = tmp_path / "child_out.json"
         script = f"""
 import json
 import numpy as np
-from repro.core.bounds import ProportionalBoundSpec
+from repro.core.bounds import GlobalBoundSpec, ProportionalBoundSpec
 from repro.core.planner import DetectionQuery
 from repro.core.result_store import DiskResultStore
 from repro.core.serialization import result_to_dict
@@ -306,20 +317,25 @@ spec = SyntheticSpec(
 )
 dataset = synthetic_dataset(spec)
 ranking = PrecomputedRanker(score_column="score").rank(dataset)
-bound = ProportionalBoundSpec(alpha=0.9)
+bound = {bound!r}
 with AuditSession(dataset, ranking, store=DiskResultStore({str(tmp_path)!r})) as session:
-    contained = session.run(DetectionQuery(bound, 2, 5, 25, "prop_bounds"))
-    extended = session.run(DetectionQuery(bound, 2, 5, 45, "prop_bounds"))
+    contained = session.run(DetectionQuery(bound, 2, 5, 25, {algorithm!r}))
+    extended = session.run(DetectionQuery(bound, 2, 5, 45, {algorithm!r}))
 json.dump({{
     "fingerprint": dataset.fingerprint(),
     "contained": result_to_dict(contained.result),
     "contained_hits": contained.stats.result_cache_hits,
+    "contained_misses": contained.stats.result_cache_misses,
     "contained_searches": contained.stats.full_searches,
+    "contained_batches": contained.stats.batch_evaluations,
+    "contained_nodes": contained.stats.nodes_evaluated,
     "extended": result_to_dict(extended.result),
     "extended_partial_hits": extended.stats.result_cache_partial_hits,
+    "extended_misses": extended.stats.result_cache_misses,
     "extended_k_values": extended.stats.extended_k_values,
     "extended_searches": extended.stats.full_searches,
     "extended_batches": extended.stats.batch_evaluations,
+    "extended_nodes": extended.stats.nodes_evaluated,
 }}, open({str(out_path)!r}, "w"))
 """
         src = Path(__file__).resolve().parents[2] / "src"
@@ -333,15 +349,23 @@ json.dump({{
         assert child["fingerprint"] == dataset.fingerprint()
         from repro.core.serialization import result_from_dict
 
-        cold_contained = _cold(dataset, ranking, DetectionQuery(PROP, 2, 5, 25, "prop_bounds"))
-        cold_extended = _cold(dataset, ranking, DetectionQuery(PROP, 2, 5, 45, "prop_bounds"))
+        cold_contained = _cold(dataset, ranking, DetectionQuery(bound, 2, 5, 25, algorithm))
+        cold_extended = _cold(dataset, ranking, DetectionQuery(bound, 2, 5, 45, algorithm))
         assert result_from_dict(child["contained"]) == cold_contained.result
-        assert child["contained_hits"] == 1 and child["contained_searches"] == 0
+        assert child["contained_hits"] == 1 and child["contained_misses"] == 0
+        assert child["contained_searches"] == 0 and child["contained_batches"] == 0
+        assert child["contained_nodes"] == 0
         assert result_from_dict(child["extended"]) == cold_extended.result
-        assert child["extended_partial_hits"] == 1
+        assert child["extended_partial_hits"] == 1 and child["extended_misses"] == 0
         assert child["extended_k_values"] == 15
         assert child["extended_searches"] < max(cold_extended.stats.full_searches, 1)
-        assert child["extended_batches"] < cold_extended.stats.batch_evaluations
+        assert child["extended_nodes"] <= cold_extended.stats.nodes_evaluated
+        if algorithm == "iter_td":
+            # A fresh IterTD engine builds the same sibling blocks whatever the
+            # k range; its saving is the root searches checked above.
+            assert child["extended_batches"] <= cold_extended.stats.batch_evaluations
+        else:
+            assert child["extended_batches"] < cold_extended.stats.batch_evaluations
 
     def test_corrupted_entry_degrades_to_a_miss(self, tmp_path):
         dataset, ranking = _instance(417, 48, [2, 3], 1.0)

@@ -9,6 +9,9 @@ The contract under test, in order of importance:
   exactly one shared-memory publication and one worker-pool spawn, asserted both
   through the ``SearchStats`` lifecycle counters and by counting actual
   ``SharedDatasetView.publish`` / executor constructions;
+* engine reuse: with the result store off, a batch on one warm session misses
+  and evaluates strictly less than one cold session per query, and evaluates no
+  more nodes;
 * per-query stats isolation on the shared warm engine;
 * lifecycle: lazy executor creation, idempotent close, context manager, serial
   reattach (with a rerun) after a worker death;
@@ -21,7 +24,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.bounds import GlobalBoundSpec, ProportionalBoundSpec, step_lower_bounds
+from repro.core.bounds import (
+    GlobalBoundSpec,
+    ProportionalBoundSpec,
+    paper_default_global_bounds,
+    paper_default_proportional_bounds,
+    step_lower_bounds,
+)
 from repro.core.engine import parallel as parallel_module
 from repro.core.engine import shared as shared_module
 from repro.core.engine.parallel import ExecutionConfig, ParallelSearchExecutor
@@ -216,6 +225,42 @@ class TestExecutorReuse:
                 algorithm=query.algorithm,
             )
             assert report.result == cold.result
+
+    @pytest.mark.parametrize("execution", EXECUTIONS[:2])
+    def test_warm_session_does_less_engine_work_than_a_cold_loop(self, execution):
+        """With the result store off, only the warm engine is shared: a batch on
+        one session misses and evaluates strictly less than one cold session
+        per query, bit-identically and without evaluating more nodes."""
+        dataset, ranking = _instance(1109, 1500, [2, 3, 2, 4, 3, 2])
+        step = paper_default_global_bounds()
+        queries = [
+            DetectionQuery(step, 8, 10, 49, "iter_td"),
+            DetectionQuery(step, 8, 10, 49, "global_bounds"),
+            DetectionQuery(paper_default_proportional_bounds(), 8, 10, 49, "prop_bounds"),
+            DetectionQuery(GlobalBoundSpec(lower_bounds=15.0), 15, 10, 49),
+            DetectionQuery(ProportionalBoundSpec(alpha=0.9), 8, 20, 45),
+        ]
+        cold = [
+            detect_biased_groups(
+                dataset, ranking, q.bound, q.tau_s, q.k_min, q.k_max,
+                algorithm=q.algorithm, execution=execution,
+            )
+            for q in queries
+        ]
+        with AuditSession(
+            dataset, ranking, execution=execution, result_cache_capacity=0
+        ) as session:
+            warm = session.run_many(queries)
+        for warm_report, cold_report in zip(warm, cold):
+            assert warm_report.result == cold_report.result
+
+        def engine_work(reports):
+            return sum(r.stats.cache_misses + r.stats.batch_evaluations for r in reports)
+
+        assert engine_work(warm) < engine_work(cold)
+        assert sum(r.stats.nodes_evaluated for r in warm) <= sum(
+            r.stats.nodes_evaluated for r in cold
+        )
 
     def test_serial_session_shares_one_counter(self):
         """With result reuse disabled, a warm rerun answers from the block caches."""

@@ -7,6 +7,7 @@ import pytest
 from repro.core.bounds import GlobalBoundSpec, ProportionalBoundSpec
 from repro.core.brute_force import enumerate_patterns
 from repro.core.pattern import Pattern
+from repro.core.stats import SearchStats
 from repro.core.upper_bounds import (
     UpperBoundsDetector,
     most_general_above_upper,
@@ -46,6 +47,14 @@ class TestMostSpecificSubstantial:
                 for value in attribute.values:
                     child = pattern.extend(attribute.name, value)
                     assert toy_dataset.count(child) < tau_s
+
+    def test_counts_no_size_beyond_the_substantial_traversal(self, toy_counter):
+        """The substantial set is complete, so a pattern-graph child missing from
+        it is below ``tau_s`` without a size count of its own."""
+        traversal, most_specific = SearchStats(), SearchStats()
+        substantial_patterns(toy_counter, 4, traversal)
+        most_specific_substantial(toy_counter, 4, most_specific)
+        assert most_specific.size_computations == traversal.size_computations
 
     def test_none_is_a_subset_of_another(self, toy_counter):
         most_specific = most_specific_substantial(toy_counter, 4)

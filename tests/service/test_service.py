@@ -5,6 +5,8 @@ The service's contract, in order of importance:
 * every completed response is **bit-identical** to a serial single-session run
   of the same queries — concurrency and pooling change latency and provenance
   counters, never content;
+* pooling pays: one session per ranking and its store serve repeated requests
+  with strictly less engine work than a fresh session per request;
 * requests beyond the per-tenant quota+queue are shed *synchronously* with a
   structured, typed error; queued requests that outlive their deadline fail
   with the same :class:`QueryTimeoutError` as running ones;
@@ -103,6 +105,62 @@ class TestServing:
                 assert [r.result for r in reports] == reference
                 assert all(r.stats.queue_wait_seconds >= 0 for r in reports)
         service.pool.assert_all_closed()
+
+    def test_service_does_less_engine_work_than_a_session_per_request(self):
+        """Three tenants ask the same batch twice each over two rankings: the
+        service builds one session per ranking and serves repeats from each
+        ranking's store, so it does strictly less engine work than a fresh
+        session per request, with identical results."""
+        instances = {
+            f"data{index}/rank": _instance(811 + 97 * index, 600, (2, 3, 2, 4))
+            for index in range(2)
+        }
+        keys = list(instances)
+        stream = [
+            (f"tenant{tenant}", keys[(tenant + request) % len(keys)])
+            for tenant in range(3)
+            for request in range(2)
+        ]
+        batch = [
+            DetectionQuery(GlobalBoundSpec(lower_bounds=2.0), 2, 10, 40),
+            DetectionQuery(ProportionalBoundSpec(alpha=0.9), 2, 10, 40),
+            DetectionQuery(GlobalBoundSpec(lower_bounds=2.0), 2, 10, 40, "iter_td"),
+        ]
+        control = []
+        for _tenant, key in stream:
+            with AuditSession(*instances[key]) as session:
+                control.append(session.run_many(batch))
+        admission = AdmissionConfig(max_concurrent_per_tenant=2, max_queue_per_tenant=4)
+        with _service(admission=admission, max_sessions=len(instances)) as service:
+            for key, (dataset, ranking) in instances.items():
+                dataset_name, ranking_name = key.split("/")
+                service.register_dataset(dataset_name, dataset)
+                service.register_ranking(dataset_name, ranking_name, ranking)
+            futures = [
+                service.submit(tenant, key, batch, deadline=60.0) for tenant, key in stream
+            ]
+            served = [future.result(timeout=60) for future in futures]
+            health = service.health()
+        service.pool.assert_all_closed()
+
+        for reports, reference in zip(served, control):
+            assert [r.result for r in reports] == [r.result for r in reference]
+        assert health["pool"]["sessions_created"] == len(instances)
+        assert health["requests"]["failed"] == 0
+        assert sum(tenant["shed"] for tenant in health["admission"].values()) == 0
+
+        def total(responses, *counters):
+            return sum(
+                getattr(report.stats, counter)
+                for reports in responses
+                for report in reports
+                for counter in counters
+            )
+
+        engine = ("full_searches", "batch_evaluations", "cache_misses")
+        assert total(served, *engine) < total(control, *engine)
+        assert total(served, "nodes_evaluated") <= total(control, "nodes_evaluated")
+        assert total(served, "result_cache_hits") > 0
 
     def test_unknown_ranking_fails_synchronously(self):
         with _service() as service:
