@@ -17,7 +17,7 @@ import numpy as np
 from repro.core.bounds import BoundSpec
 from repro.core.pattern import Pattern
 from repro.core.pattern_graph import PatternCounter
-from repro.core.result_set import DetectionResult, minimal_patterns
+from repro.core.result_set import DetectionResult
 from repro.data.dataset import Dataset
 from repro.exceptions import DetectionError
 
@@ -80,6 +80,21 @@ def brute_force_detection(
                 violating_per_k[int(k)].append(pattern)
 
     per_k: dict[int, frozenset[Pattern]] = {
-        k: minimal_patterns(violating) for k, violating in violating_per_k.items()
+        k: _pairwise_minimal(violating) for k, violating in violating_per_k.items()
     }
     return DetectionResult(per_k)
+
+
+def _pairwise_minimal(patterns: list[Pattern]) -> frozenset[Pattern]:
+    """The most general of ``patterns``, by direct pairwise subsumption tests.
+
+    The oracle keeps its own antichain rather than calling
+    :func:`~repro.core.result_set.minimal_patterns`, so the searches it checks
+    share none of their minimality code with it.  Patterns are taken shortest
+    first, so every pattern that could subsume one is already accepted.
+    """
+    accepted: list[Pattern] = []
+    for pattern in sorted(set(patterns), key=len):
+        if not any(member.is_subset_of(pattern) for member in accepted):
+            accepted.append(pattern)
+    return frozenset(accepted)

@@ -39,9 +39,13 @@ class BlockEntry:
     ``np.bincount(column[:limit])`` counts every child inside any rank prefix at
     once.  ``survivors_for`` memoises the children whose size clears a threshold —
     one detection run uses a single ``tau_s``, so the memo is a one-slot cache.
+    ``n_children`` is the attribute's cardinality, one child per domain value.
     """
 
-    __slots__ = ("parent", "attribute", "rows", "column", "sizes", "_survivor_tau", "_survivors")
+    __slots__ = (
+        "parent", "attribute", "rows", "column", "sizes", "n_children",
+        "_survivor_tau", "_survivors",
+    )
 
     def __init__(
         self,
@@ -56,12 +60,9 @@ class BlockEntry:
         self.rows = rows
         self.column = column
         self.sizes = sizes
+        self.n_children = int(sizes.shape[0])
         self._survivor_tau: int | None = None
         self._survivors: tuple[Survivor, ...] = ()
-
-    @property
-    def n_children(self) -> int:
-        return int(self.sizes.shape[0])
 
     def positions_for(self, index: int) -> np.ndarray:
         """Sorted rank positions of the child at value-code ``index``."""
@@ -74,7 +75,7 @@ class BlockEntry:
         ``searchsorted(rows, k)`` of them.
         """
         limit = int(np.searchsorted(self.rows, k, side="left"))
-        return np.bincount(self.column[:limit], minlength=self.sizes.shape[0])
+        return np.bincount(self.column[:limit], minlength=self.n_children)
 
     def survivors_for(self, tau_s: int) -> tuple[Survivor, ...]:
         """The children with ``size >= tau_s`` and their value-code indices."""

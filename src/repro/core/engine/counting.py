@@ -23,6 +23,8 @@ the work a run did onto its :class:`~repro.core.stats.SearchStats`.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
 from repro.core.engine.blocks import BlockEntry, EngineBlock
@@ -103,8 +105,7 @@ class CountingEngine:
         self._blocks: LRUCache[_BlockKey, BlockEntry] = LRUCache(max_cached_blocks)
         # The empty pattern matches every row; it is pinned outside the LRU cache.
         self._root = DenseMatch(np.ones(self._n_rows, dtype=bool))
-        self._pattern_codes: dict[Pattern, list[tuple[int, int]]] = {}
-        self._row_cache: tuple[int, list[int]] | None = None
+        self._row_cache: tuple[int, frozenset[tuple[str, object]]] | None = None
         # -- instrumentation ---------------------------------------------------
         self.batch_evaluations = 0
         self.block_reuses = 0
@@ -201,34 +202,35 @@ class CountingEngine:
     def row_satisfies(self, rank: int, pattern: Pattern) -> bool:
         """Whether the tuple at (1-based) ``rank`` satisfies ``pattern``.
 
-        Answered in ``O(|pattern|)`` by comparing the row's codes directly — no mask
-        is materialised, so the per-k incremental steps of the optimized detectors
-        never touch the cache.
+        The row is held as the frozenset of its ``(attribute, value)`` pairs, so
+        the test is one C-level ``issuperset`` over the pattern's items: no mask
+        is materialised and the caches are never touched.  A value outside an
+        attribute's domain is satisfied by no row.
         """
-        row = self._row_values(rank)
-        for index, code in self._codes_of(pattern):
-            if row[index] != code:
-                return False
-        return True
+        return self._row_items(rank).issuperset(pattern.items_tuple)
 
-    def _row_values(self, rank: int) -> list[int]:
+    def satisfying(self, rank: int, patterns: Iterable[Pattern]) -> list[Pattern]:
+        """The patterns of ``patterns`` satisfied by the tuple at (1-based) ``rank``.
+
+        This is the per-k touched scan of the incremental detectors
+        (Proposition 4.3): one call per dict per k, testing each pattern as
+        :meth:`row_satisfies` does.  The result keeps ``patterns``' iteration
+        order, which PropBounds' k-tilde schedule order depends on.
+        """
+        row = self._row_items(rank)
+        return [pattern for pattern in patterns if row.issuperset(pattern.items_tuple)]
+
+    def _row_items(self, rank: int) -> frozenset[tuple[str, object]]:
         cached = self._row_cache
         if cached is not None and cached[0] == rank:
             return cached[1]
-        values = self._ranked_codes[rank - 1].tolist()
-        self._row_cache = (rank, values)
-        return values
-
-    def _codes_of(self, pattern: Pattern) -> list[tuple[int, int]]:
-        codes = self._pattern_codes.get(pattern)
-        if codes is None:
-            attributes = self._schema.attributes
-            codes = []
-            for name, value in pattern.items_tuple:
-                index = self._tree.attribute_index(name)
-                codes.append((index, attributes[index].code(value)))
-            self._pattern_codes[pattern] = codes
-        return codes
+        codes = self._ranked_codes[rank - 1].tolist()
+        items = frozenset(
+            (attribute.name, attribute.values[code])
+            for attribute, code in zip(self._schema.attributes, codes)
+        )
+        self._row_cache = (rank, items)
+        return items
 
     # -- sibling-batch evaluation ------------------------------------------------
     def child_block(self, parent: Pattern, attribute_index: int, k: int) -> EngineBlock:
@@ -265,7 +267,6 @@ class CountingEngine:
         """Drop all memoised matches and blocks (used between independent searches)."""
         self._matches.clear()
         self._blocks.clear()
-        self._pattern_codes.clear()
         self._row_cache = None
 
     @property

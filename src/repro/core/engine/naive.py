@@ -18,6 +18,8 @@ so it has no ``stats_snapshot``/``publish_stats`` and never runs sharded.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
 from repro.core.engine.blocks import MaterializedBlock
@@ -91,6 +93,11 @@ class NaiveCounter:
     def row_satisfies(self, rank: int, pattern: Pattern) -> bool:
         """Whether the tuple at (1-based) ``rank`` satisfies ``pattern``."""
         return bool(self.mask(pattern)[rank - 1])
+
+    def satisfying(self, rank: int, patterns: Iterable[Pattern]) -> list[Pattern]:
+        """The patterns satisfied by the tuple at ``rank``, in ``patterns``' order."""
+        index = rank - 1
+        return [pattern for pattern in patterns if self.mask(pattern)[index]]
 
     # -- sibling blocks (per-child evaluation, no batching) -----------------------
     def child_block(self, parent: Pattern, attribute_index: int, k: int) -> MaterializedBlock:

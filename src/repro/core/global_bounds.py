@@ -117,7 +117,7 @@ class GlobalBoundsDetector(Detector):
         # Only below-bound patterns satisfied by the newly added tuple R(D)[k] can
         # change category (Proposition 4.3); counts of expanded nodes are irrelevant
         # until the next bound step, which triggers a fresh search anyway.
-        touched = [pattern for pattern in state.below if counter.row_satisfies(k, pattern)]
+        touched = counter.satisfying(k, state.below)
         stats.bump("incremental_steps")
         for pattern in touched:
             new_count = state.below[pattern] + 1

@@ -174,8 +174,8 @@ class PropBoundsDetector(Detector):
         # pattern demoted from expanded to below in step 1a must not be bumped a
         # second time for the same tuple in step 1b (Algorithm 3 computes the set
         # of patterns satisfied by R(D)[k] once).
-        touched_expanded = [p for p in state.expanded if counter.row_satisfies(k, p)]
-        touched_below = [p for p in state.below if counter.row_satisfies(k, p)]
+        touched_expanded = counter.satisfying(k, state.expanded)
+        touched_below = counter.satisfying(k, state.below)
 
         # Step 1a: expanded patterns satisfied by the new tuple R(D)[k].
         for pattern in touched_expanded:

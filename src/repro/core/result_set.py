@@ -2,7 +2,9 @@
 
 :func:`minimal_patterns` computes the antichain of a set of patterns under the
 subsumption order — exactly the "most general patterns" the problem definitions ask
-for.  :class:`DetectionResult` maps each ``k`` in the requested range to its set of
+for — by probing each pattern's proper sub-assignments against the input; an
+:class:`Antichain` lets repeated calls over a slowly changing input re-probe only
+what changed.  :class:`DetectionResult` maps each ``k`` in the requested range to its set of
 detected groups, and :func:`ordered_groups` ranks a ``k``'s groups the two ways
 Section III suggests ("a user-friendly interface would organize the output by k
 value and rank the groups by their overall size in the data or by the bias in their
@@ -13,71 +15,141 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
-from typing import Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 from repro.core.pattern import Pattern
 from repro.exceptions import DetectionError
 
 
-def minimal_patterns(patterns: Iterable[Pattern]) -> frozenset[Pattern]:
+#: A pattern's assignments as its canonical (name-sorted) item tuple.
+Items = tuple[tuple[str, object], ...]
+
+
+def minimal_patterns(
+    patterns: Iterable[Pattern], antichain: "Antichain | None" = None
+) -> frozenset[Pattern]:
     """The minimal elements of ``patterns`` under the subset (generality) order.
 
-    Candidates are grouped by length before any comparison: two distinct patterns of
-    the same length can never subsume each other, so each pattern only has to be
-    checked against the *strictly shorter* accepted ones.  That check enumerates the
-    pattern's sub-assignments of the accepted lengths and looks them up in a set —
-    ``O(sum_l C(|p|, l))`` per pattern — falling back to a linear scan over the
-    accepted antichain when the pattern is long enough that enumeration would lose.
-    This avoids the full pairwise scan on large result sets, whose candidates are
-    dominated by a few (typically long) lengths.
+    A pattern is minimal iff none of its proper sub-assignments is in the input.
+    Item tuples are name-sorted, so every sub-assignment is a combination of the
+    pattern's items in canonical order and one set lookup tests it.  Lookups go
+    shortest first, the empty pattern included, and only at lengths some input
+    pattern has, so a non-minimal pattern usually stops at its first probe.
+
+    With an :class:`Antichain`, the call diffs ``patterns`` against the input
+    the antichain saw last and re-probes only what the difference can change:
+    patterns that entered the input, patterns whose witness left it, and the
+    previous minimal patterns against the entered ones alone.  The incremental
+    detectors keep one antichain per search state, so their per-k cost follows
+    the few below-bound patterns that change.
     """
-    by_length: dict[int, list[Pattern]] = {}
-    for pattern in set(patterns):
-        by_length.setdefault(len(pattern), []).append(pattern)
+    if antichain is not None:
+        return antichain.update(patterns)
+    present = {pattern.items_tuple: pattern for pattern in patterns}
+    lengths = sorted({len(items) for items in present})
+    return frozenset(
+        pattern
+        for items, pattern in present.items()
+        if _sub_assignment_in(items, present, lengths) is None
+    )
 
-    accepted: list[Pattern] = []
-    accepted_items: set[tuple[tuple[str, object], ...]] = set()
-    accepted_lengths: list[int] = []
-    for length in sorted(by_length):
-        fresh = [
-            pattern
-            for pattern in by_length[length]
-            if not _has_accepted_subset(pattern, accepted, accepted_items, accepted_lengths)
-        ]
+
+def _sub_assignment_in(
+    items: Items, present: Collection[Items], lengths: list[int]
+) -> Items | None:
+    """The shortest proper sub-assignment of ``items`` in ``present``, or ``None``.
+
+    ``lengths`` are the ascending lengths to probe; longer ones are skipped.
+    """
+    size = len(items)
+    for length in lengths:
+        if length >= size:
+            return None
+        for combo in combinations(items, length):
+            if combo in present:
+                return combo
+    return None
+
+
+class Antichain:
+    """Minimality bookkeeping that :func:`minimal_patterns` keeps across calls.
+
+    It remembers the previous input, its minimal set, and for every non-minimal
+    pattern one *witness*: a proper sub-assignment that is in the input.  A
+    minimal pattern stays minimal until a sub-assignment of it enters the
+    input, and a non-minimal one stays non-minimal while its witness stays, so
+    a call only re-probes what entered, what lost its witness, and the minimal
+    patterns that an entered pattern might subsume.  The input is diffed as a
+    set of patterns, whose cached hashes make an unchanged pattern cost one
+    lookup.  The first call records no witnesses; the first call whose input
+    differs records them for the whole input.
+    """
+
+    __slots__ = ("_patterns", "_built", "_present", "_lengths", "_minimal", "_witness",
+                 "_dependents", "_result")
+
+    def __init__(self) -> None:
+        self._patterns: set[Pattern] | None = None
+        self._built = False
+        self._present: dict[Items, Pattern] = {}
+        self._lengths: dict[int, int] = {}
+        self._minimal: dict[Items, Pattern] = {}
+        self._witness: dict[Items, Items] = {}
+        self._dependents: dict[Items, set[Items]] = {}
+        self._result: frozenset[Pattern] = frozenset()
+
+    def update(self, patterns: Iterable[Pattern]) -> frozenset[Pattern]:
+        """The minimal elements of ``patterns``, re-using the previous call's."""
+        current = set(patterns)
+        previous, self._patterns = self._patterns, current
+        if previous is None:
+            # IterTD asks each fresh state once, so a first call takes the plain
+            # probe and the witnesses are recorded only once the input changes.
+            self._result = minimal_patterns(current)
+            return self._result
+        entered = current - previous
+        left = previous - current
+        if not entered and not left:
+            return self._result
+        if not self._built:
+            entered, left, self._built = current, set(), True
+        present, lengths = self._present, self._lengths
+        minimal, witness, dependents = self._minimal, self._witness, self._dependents
+        gone = [pattern.items_tuple for pattern in left]
+        for items in gone:
+            del present[items]
+            lengths[len(items)] -= 1
+            if minimal.pop(items, None) is None:
+                dependents[witness.pop(items)].discard(items)
+        orphaned: list[Items] = []
+        for items in gone:
+            for dependent in dependents.pop(items, ()):
+                del witness[dependent]
+                orphaned.append(dependent)
+        fresh: dict[Items, Pattern] = {pattern.items_tuple: pattern for pattern in entered}
         if fresh:
-            accepted.extend(fresh)
-            accepted_items.update(pattern.items_tuple for pattern in fresh)
-            accepted_lengths.append(length)
-    return frozenset(accepted)
-
-
-def _has_accepted_subset(
-    pattern: Pattern,
-    accepted: list[Pattern],
-    accepted_items: set[tuple[tuple[str, object], ...]],
-    accepted_lengths: list[int],
-) -> bool:
-    """Whether some already-accepted (strictly shorter) pattern subsumes ``pattern``."""
-    n_accepted = len(accepted)
-    if n_accepted <= 8:
-        # Tiny antichains: a linear scan beats even computing the enumeration cost.
-        return any(member.is_subset_of(pattern) for member in accepted)
-    items = pattern.items_tuple
-    if accepted_lengths == [1]:
-        # The dominant case in practice: the accepted antichain consists of
-        # single-assignment patterns, so subsumption is a direct item probe.
-        return any((item,) in accepted_items for item in items)
-    enumerations = sum(comb(len(items), length) for length in accepted_lengths)
-    if enumerations <= n_accepted:
-        # ``items`` is name-sorted, so every combination is already in canonical
-        # order and can be probed directly against the accepted item-tuples.
-        for length in accepted_lengths:
-            for combo in combinations(items, length):
-                if combo in accepted_items:
-                    return True
-        return False
-    return any(member.is_subset_of(pattern) for member in accepted)
+            # Every proper sub-assignment of a minimal pattern was absent, so
+            # only an entered one can subsume it now.
+            fresh_lengths = sorted({len(items) for items in fresh})
+            for items in list(minimal):
+                held = _sub_assignment_in(items, fresh, fresh_lengths)
+                if held is not None:
+                    del minimal[items]
+                    witness[items] = held
+                    dependents.setdefault(held, set()).add(items)
+            present.update(fresh)
+            for items in fresh:
+                lengths[len(items)] = lengths.get(len(items), 0) + 1
+        probe_lengths = sorted(length for length, count in lengths.items() if count)
+        for items in (*fresh, *orphaned):
+            held = _sub_assignment_in(items, present, probe_lengths)
+            if held is None:
+                minimal[items] = present[items]
+            else:
+                witness[items] = held
+                dependents.setdefault(held, set()).add(items)
+        self._result = frozenset(minimal.values())
+        return self._result
 
 
 @dataclass(frozen=True)

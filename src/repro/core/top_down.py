@@ -35,7 +35,7 @@ from typing import Callable
 from repro.core.bounds import BoundSpec
 from repro.core.pattern import EMPTY_PATTERN, Pattern
 from repro.core.pattern_graph import PatternCounter
-from repro.core.result_set import DetectionResult, minimal_patterns
+from repro.core.result_set import Antichain, DetectionResult, minimal_patterns
 from repro.core.stats import SearchStats
 
 
@@ -48,30 +48,45 @@ class SearchState:
     every visited pattern with adequate size.  ``below`` corresponds to
     ``Res ∪ DRes`` of the paper's Algorithm 2: the most general patterns are exactly
     the minimal elements of ``below``.
+
+    ``antichain`` carries :meth:`most_general`'s bookkeeping from one call to the
+    next, so an incremental detector's per-k minimality re-checks only the
+    below-bound patterns that changed.  It is derived data: states compare
+    without it, and a pickled or copied state starts a fresh one.
     """
 
     below: dict[Pattern, int] = field(default_factory=dict)
     expanded: dict[Pattern, int] = field(default_factory=dict)
     sizes: dict[Pattern, int] = field(default_factory=dict)
+    antichain: Antichain = field(default_factory=Antichain, init=False, compare=False, repr=False)
 
     def most_general(self) -> frozenset[Pattern]:
         """The most general below-bound patterns (the result set for the current k)."""
-        return minimal_patterns(self.below)
+        return minimal_patterns(self.below, self.antichain)
 
     def merge(self, other: "SearchState") -> "SearchState":
         """Fold ``other``'s classification into this state in place and return it.
 
         The parallel executor partitions the search tree into disjoint first-level
         subtrees, so the per-shard states it merges have no common patterns and the
-        union reproduces the serial classification exactly; most-general minimality
-        (:meth:`most_general`) is computed *after* the merge, never per shard.  When
-        the inputs do overlap (e.g. merging two independent searches), ``other``'s
-        entry wins, matching ``dict.update`` semantics.
+        union reproduces the serial classification exactly.  Shards merged with
+        their full classification leave minimality (:meth:`most_general`) to the
+        merged state; IterTD's reduced-IPC shards arrive already reduced to their
+        own minimal below-bound patterns, which keeps the merged minimal set
+        unchanged.  When the inputs do overlap (e.g. merging two independent
+        searches), ``other``'s entry wins, matching ``dict.update`` semantics.
         """
         self.below.update(other.below)
         self.expanded.update(other.expanded)
         self.sizes.update(other.sizes)
         return self
+
+    def __getstate__(self) -> dict[str, dict[Pattern, int]]:
+        return {"below": self.below, "expanded": self.expanded, "sizes": self.sizes}
+
+    def __setstate__(self, state: dict[str, dict[Pattern, int]]) -> None:
+        self.__dict__.update(state)
+        self.antichain = Antichain()
 
 
 @dataclass
@@ -200,8 +215,9 @@ def expand_parent(
     """
     below, expanded, sizes = state.below, state.expanded, state.sizes
     for block in counter.child_blocks(parent, k):
-        stats.nodes_generated += block.n_children
-        stats.size_computations += block.n_children
+        n_children = block.n_children
+        stats.nodes_generated += n_children
+        stats.size_computations += n_children
         for child, size, count in block.qualifying(tau_s):
             if child in below or child in expanded:
                 stats.size_computations -= 1

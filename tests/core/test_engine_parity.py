@@ -87,6 +87,18 @@ class TestCountParity:
                     rank, pattern
                 )
 
+    def test_satisfying_is_the_touched_scan_in_dict_order(self, seed, n_rows, cardinalities, skew):
+        """``satisfying(k, d)`` keeps ``d``'s order: PropBounds schedules by it."""
+        dataset, ranking = _instance(seed, n_rows, cardinalities, skew)
+        naive = NaiveCounter(dataset, ranking)
+        patterns = list(enumerate_patterns(dataset, include_empty=True))
+        order = np.random.default_rng(seed).permutation(len(patterns))
+        scanned = {patterns[index]: 0 for index in order}
+        for counter in (PatternCounter(dataset, ranking), NaiveCounter(dataset, ranking)):
+            for rank in range(1, n_rows + 1):
+                expected = [p for p in scanned if naive.row_satisfies(rank, p)]
+                assert counter.satisfying(rank, scanned) == expected
+
 
 @pytest.mark.parametrize("seed,n_rows,cardinalities,skew", INSTANCES)
 @pytest.mark.parametrize(
