@@ -71,6 +71,24 @@ class DetectionParameters:
             )
 
 
+def trivially_empty(parameters: DetectionParameters, dataset_size: int) -> DetectionResult | None:
+    """The all-empty result when no pattern can violate the bound, else ``None``.
+
+    A top-k count is never negative, so a pattern-independent lower bound at or
+    below zero at every ``k`` of the range flags no group at any ``k``.  A search
+    would still expand the whole lattice above ``tau_s`` to prove that, so the
+    detectors return this result instead of searching.
+    """
+    bound = parameters.bound
+    if bound.pattern_dependent:
+        return None
+    k_range = parameters.k_range()
+    # Bounds are non-decreasing in k, so the largest k usually decides at once.
+    if all(bound.lower(k, 0, dataset_size) <= 0 for k in reversed(k_range)):
+        return DetectionResult(dict.fromkeys(k_range, frozenset()))
+    return None
+
+
 class DetectionReport:
     """The outcome of one detection run."""
 

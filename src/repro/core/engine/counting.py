@@ -10,8 +10,10 @@ It differs from a per-pattern mask cache in three ways:
   producing sizes and top-k counts for the whole sibling block at once.
 * **Prefix-count representation** — cached matches store sorted rank positions (or
   a cumulative-count prefix for dense matches), so ``top_k_count(p, k)`` for *any*
-  ``k`` is one ``np.searchsorted`` / array lookup; a k-sweep re-reads cached blocks
-  instead of recomputing masks (the k-sweep fast path).
+  ``k`` is one ``np.searchsorted`` / array lookup.  A k-sweep re-reads cached blocks
+  instead of recomputing masks (the k-sweep fast path), and each cached block
+  steps its counts from ``k`` to ``k + 1`` by the one row that enters the prefix
+  (:meth:`~repro.core.engine.blocks.BlockEntry.counts_for`).
 * **Adaptive dense → sparse storage with LRU eviction** — matches switch from
   boolean masks to ``int32`` index arrays once selectivity drops below a threshold,
   and both caches evict least-recently-used entries instead of refusing new ones.
@@ -40,6 +42,7 @@ from repro.core.engine.tree import SearchTree
 from repro.core.pattern import Pattern
 from repro.core.stats import COUNTER_TYPES, SearchStats
 from repro.data.dataset import Dataset
+from repro.exceptions import DetectionError
 from repro.ranking.base import Ranking
 
 #: Default number of cached pattern matches (and sibling blocks).
@@ -205,7 +208,8 @@ class CountingEngine:
         The row is held as the frozenset of its ``(attribute, value)`` pairs, so
         the test is one C-level ``issuperset`` over the pattern's items: no mask
         is materialised and the caches are never touched.  A value outside an
-        attribute's domain is satisfied by no row.
+        attribute's domain is satisfied by no row.  A rank outside ``1..n``
+        raises :class:`~repro.exceptions.DetectionError`.
         """
         return self._row_items(rank).issuperset(pattern.items_tuple)
 
@@ -224,6 +228,8 @@ class CountingEngine:
         cached = self._row_cache
         if cached is not None and cached[0] == rank:
             return cached[1]
+        if not 1 <= rank <= self._n_rows:
+            raise DetectionError(f"rank {rank} is outside the ranking's 1..{self._n_rows}")
         codes = self._ranked_codes[rank - 1].tolist()
         items = frozenset(
             (attribute.name, attribute.values[code])
@@ -237,10 +243,11 @@ class CountingEngine:
         """Evaluate all children ``parent ∧ (A = v)`` of one attribute in one batch.
 
         On a cache miss the parent's sorted rank positions gather the child codes
-        of one column, and one ``np.bincount`` over them gives every child's size.
-        The (rows, codes) pair is cached so this and later sweeps at any ``k``
-        count the whole block's top-k with one prefix pass
-        (:meth:`BlockEntry.counts_at`).
+        of one column, one ``np.bincount`` over them gives every child's size, and
+        the new entry's count memo is seeded at ``k`` here, so a block's first
+        count is part of its evaluation.  A cached entry is returned uncounted:
+        its :class:`EngineBlock` reads the entry's count memo
+        (:meth:`BlockEntry.counts_for`) when the caller first needs the counts.
         """
         key = (parent, attribute_index)
         cached = self._blocks.get(key)
@@ -255,7 +262,7 @@ class CountingEngine:
         entry = BlockEntry(parent, attribute, rows, column, sizes)
         self._blocks.put(key, entry)
         self.batch_evaluations += 1
-        return EngineBlock(entry, k, entry.counts_at(k))
+        return EngineBlock(entry, k, entry.counts_for(k))
 
     def child_blocks(self, parent: Pattern, k: int):
         """One :class:`EngineBlock` per attribute contributing children of ``parent``."""

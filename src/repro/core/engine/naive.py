@@ -26,6 +26,7 @@ from repro.core.engine.blocks import MaterializedBlock
 from repro.core.engine.tree import SearchTree
 from repro.core.pattern import Pattern
 from repro.data.dataset import Dataset
+from repro.exceptions import DetectionError
 from repro.ranking.base import Ranking
 
 
@@ -92,12 +93,18 @@ class NaiveCounter:
 
     def row_satisfies(self, rank: int, pattern: Pattern) -> bool:
         """Whether the tuple at (1-based) ``rank`` satisfies ``pattern``."""
-        return bool(self.mask(pattern)[rank - 1])
+        return bool(self.mask(pattern)[self._row_index(rank)])
 
     def satisfying(self, rank: int, patterns: Iterable[Pattern]) -> list[Pattern]:
         """The patterns satisfied by the tuple at ``rank``, in ``patterns``' order."""
-        index = rank - 1
+        index = self._row_index(rank)
         return [pattern for pattern in patterns if self.mask(pattern)[index]]
+
+    def _row_index(self, rank: int) -> int:
+        """The row index of 1-based ``rank``; a rank outside ``1..n`` raises."""
+        if not 1 <= rank <= self.dataset_size:
+            raise DetectionError(f"rank {rank} is outside the ranking's 1..{self.dataset_size}")
+        return rank - 1
 
     # -- sibling blocks (per-child evaluation, no batching) -----------------------
     def child_block(self, parent: Pattern, attribute_index: int, k: int) -> MaterializedBlock:

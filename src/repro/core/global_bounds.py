@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 
 from repro.core.bounds import BoundSpec
-from repro.core.detector import DetectionParameters, Detector, SearchFn
+from repro.core.detector import DetectionParameters, Detector, SearchFn, trivially_empty
 from repro.core.engine.parallel import ExecutionConfig
 from repro.core.pattern import Pattern
 from repro.core.pattern_graph import PatternCounter
@@ -57,6 +57,10 @@ class GlobalBoundsDetector(Detector):
         self, counter: PatternCounter, stats: SearchStats, search: SearchFn
     ) -> SweepOutcome:
         parameters = self.parameters
+        empty = trivially_empty(parameters, counter.dataset_size)
+        if empty is not None:
+            # No frontier: a later suffix is served by a covering run.
+            return SweepOutcome(empty)
         state = search(parameters.bound, parameters.k_min, parameters.tau_s, stats)
         return self._advance(
             counter, stats, search, state, {parameters.k_min: state.most_general()},
@@ -71,6 +75,9 @@ class GlobalBoundsDetector(Detector):
         frontier: SweepFrontier,
     ) -> SweepOutcome:
         self._check_resume_frontier(frontier, "global_bounds")
+        empty = trivially_empty(self.parameters, counter.dataset_size)
+        if empty is not None:
+            return SweepOutcome(empty)
         # The state evolution at k > frontier.k depends only on the reached
         # classification (never on where the sweep started or its old k_max), so
         # resuming from the frontier reproduces the cold run's suffix exactly.

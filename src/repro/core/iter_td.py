@@ -7,15 +7,17 @@ falls below the lower bound.  It works unchanged for both problem definitions
 abstracted behind :class:`~repro.core.bounds.BoundSpec`.
 
 Although the baseline's *traversal* restarts per k, its counting rides the engine's
-k-sweep fast path: the first sweep populates prefix-count sibling blocks, and every
-later sweep answers each block from cache with one binary search per surviving
-child, so the k_min..k_max range no longer costs a full mask scan per (pattern, k).
+k-sweep fast path: the first sweep populates cached sibling blocks, and the search
+at ``k + 1`` finds each of them counted at ``k``, so a block's counts step by the
+one tuple that enters the top-k (Proposition 4.3) instead of being re-counted.  The
+k_min..k_max range therefore costs neither a mask scan nor a prefix count per
+(block, k); the traversal and its counters are still the paper's baseline.
 """
 
 from __future__ import annotations
 
 from repro.core.bounds import BoundSpec
-from repro.core.detector import DetectionParameters, Detector, SearchFn
+from repro.core.detector import DetectionParameters, Detector, SearchFn, trivially_empty
 from repro.core.engine.parallel import ExecutionConfig
 from repro.core.pattern_graph import PatternCounter
 from repro.core.result_set import DetectionResult
@@ -46,17 +48,19 @@ class IterTDDetector(Detector):
         self, counter: PatternCounter, stats: SearchStats, search: SearchFn
     ) -> SweepOutcome:
         parameters = self.parameters
+        # Every k is an independent full search, so the frontier is stateless:
+        # extending an IterTD sweep just runs the suffix searches.
+        frontier = SweepFrontier(algorithm="iter_td", k=parameters.k_max)
+        empty = trivially_empty(parameters, counter.dataset_size)
+        if empty is not None:
+            return SweepOutcome(empty, frontier)
         per_k = {}
         for k in parameters.k_range():
             # Only the most general patterns are consumed, so the parallel path
             # may return shard-minimal below sets instead of full classifications.
             state = search(parameters.bound, k, parameters.tau_s, stats, classification=False)
             per_k[k] = state.most_general()
-        # Every k is an independent full search, so the frontier is stateless:
-        # extending an IterTD sweep just runs the suffix searches.
-        return SweepOutcome(
-            DetectionResult(per_k), SweepFrontier(algorithm="iter_td", k=parameters.k_max)
-        )
+        return SweepOutcome(DetectionResult(per_k), frontier)
 
     def _resume(
         self,

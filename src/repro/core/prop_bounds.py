@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 
 from repro.core.bounds import BoundSpec
-from repro.core.detector import DetectionParameters, Detector, SearchFn
+from repro.core.detector import DetectionParameters, Detector, SearchFn, trivially_empty
 from repro.core.engine.parallel import ExecutionConfig
 from repro.core.pattern import Pattern
 from repro.core.pattern_graph import PatternCounter
@@ -68,6 +68,10 @@ class PropBoundsDetector(Detector):
         self, counter: PatternCounter, stats: SearchStats, search: SearchFn
     ) -> SweepOutcome:
         parameters = self.parameters
+        empty = trivially_empty(parameters, counter.dataset_size)
+        if empty is not None:
+            # No frontier: a later suffix is served by a covering run.
+            return SweepOutcome(empty)
         state = search(parameters.bound, parameters.k_min, parameters.tau_s, stats)
         return self._advance(
             counter, stats, state, {parameters.k_min: state.most_general()},
@@ -82,6 +86,9 @@ class PropBoundsDetector(Detector):
         frontier: SweepFrontier,
     ) -> SweepOutcome:
         self._check_resume_frontier(frontier, "prop_bounds")
+        empty = trivially_empty(self.parameters, counter.dataset_size)
+        if empty is not None:
+            return SweepOutcome(empty)
         # The k-tilde schedule is rebuilt rather than persisted: every pop due at
         # or before frontier.k has already fired, so each surviving expanded
         # pattern's first possible violation is the same whether computed at its

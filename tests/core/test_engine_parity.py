@@ -21,6 +21,7 @@ from repro.core.pattern import EMPTY_PATTERN
 from repro.core.pattern_graph import PatternCounter
 from repro.core.prop_bounds import PropBoundsDetector
 from repro.data.synthetic import SyntheticSpec, synthetic_dataset
+from repro.exceptions import DetectionError
 from repro.ranking.base import PrecomputedRanker
 
 #: Deterministic parameterisation: (seed, n_rows, cardinalities, skew).
@@ -86,6 +87,19 @@ class TestCountParity:
                 assert engine_counter.row_satisfies(rank, pattern) == naive.row_satisfies(
                     rank, pattern
                 )
+
+    def test_out_of_range_ranks_raise_in_both_counters(self, seed, n_rows, cardinalities, skew):
+        """Rank 0, a negative rank and rank n+1 name no tuple: neither counter may
+        wrap them to another row or leak a bare ``IndexError``."""
+        dataset, ranking = _instance(seed, n_rows, cardinalities, skew)
+        pattern = next(iter(enumerate_patterns(dataset)))
+        for counter in (PatternCounter(dataset, ranking), NaiveCounter(dataset, ranking)):
+            counter.row_satisfies(n_rows, pattern)
+            for rank in (0, -1, n_rows + 1):
+                with pytest.raises(DetectionError, match="outside the ranking"):
+                    counter.row_satisfies(rank, pattern)
+                with pytest.raises(DetectionError, match="outside the ranking"):
+                    counter.satisfying(rank, {pattern: 0})
 
     def test_satisfying_is_the_touched_scan_in_dict_order(self, seed, n_rows, cardinalities, skew):
         """``satisfying(k, d)`` keeps ``d``'s order: PropBounds schedules by it."""

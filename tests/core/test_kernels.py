@@ -8,12 +8,16 @@ parent's sorted rank positions and counts every child's size,
 child's positions.  These tests pin that contract against hand-computed
 expectations and a brute-force per-element reference, under permuted rankings,
 dense and sparse parent matches, and block-cache reuse and eviction.
+:meth:`BlockEntry.counts_for` serves the same counts from a one-slot memo that
+steps with ``k``; it is checked against :meth:`BlockEntry.counts_at` for every
+order in which a sweep can ask.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.engine.blocks import BlockEntry, EngineBlock
 from repro.core.engine.counting import CountingEngine
 from repro.core.engine.masks import POSITION_DTYPE
 from repro.core.pattern import EMPTY_PATTERN, Pattern
@@ -251,3 +255,67 @@ class TestBlockCounting:
             assert rebuilt.entry.column.tolist() == first.entry.column.tolist()
             assert rebuilt.sizes.tolist() == first.sizes.tolist()
             assert rebuilt.counts == first.counts
+
+
+def _memo_entries(seed: int, trials: int = 12):
+    """(n_total, a freshly built BlockEntry) pairs over random blocks."""
+    rng = np.random.default_rng(seed)
+    for trial in range(trials):
+        column, rows, cardinality = _random_block(rng)
+        engine = _engine(column, rows, cardinality)
+        yield column.shape[0], engine.child_block(PARENT, CHILD, 0).entry
+
+
+class TestCountMemo:
+    """``counts_for`` at the memo's k, at the next k and at any other k must
+    equal a fresh prefix count (``counts_at``)."""
+
+    @staticmethod
+    def _check(entry, ks):
+        for k in ks:
+            assert entry.counts_for(k) == entry.counts_at(k).tolist(), k
+
+    def test_every_k_ascending(self):
+        for n_total, entry in _memo_entries(31):
+            self._check(entry, range(n_total + 2))
+
+    def test_each_k_twice(self):
+        for n_total, entry in _memo_entries(37):
+            self._check(entry, [k for k in range(n_total + 2) for _ in range(2)])
+
+    def test_every_k_descending(self):
+        for n_total, entry in _memo_entries(41):
+            self._check(entry, range(n_total + 1, -1, -1))
+
+    def test_ks_that_jump(self):
+        rng = np.random.default_rng(43)
+        for n_total, entry in _memo_entries(47):
+            for stride in (2, 3, 5):
+                self._check(entry, range(0, n_total + 2, stride))
+            self._check(entry, rng.integers(0, n_total + 2, size=3 * n_total + 6).tolist())
+
+    def test_a_block_keeps_its_counts_after_the_entry_steps(self):
+        for n_total, entry in _memo_entries(53):
+            for k in range(n_total + 1):
+                block = EngineBlock(entry, k)
+                counts = block.counts
+                expected = entry.counts_at(k).tolist()
+                assert EngineBlock(entry, k + 1).counts == entry.counts_at(k + 1).tolist()
+                assert counts == expected
+                assert block.counts == expected
+
+    def test_a_new_block_is_counted_inside_child_block(self, monkeypatch):
+        """The first count of a new block is part of its evaluation (perfbench's
+        ``engine`` layer); later ks step the memo without a prefix re-count."""
+        engine = _engine([1, 0, 2, 1, 0, 2, 2, 1], [0, 2, 5, 7], 3)
+        block = engine.child_block(PARENT, CHILD, 4)
+
+        def fail(self, k):
+            raise AssertionError("re-counted")
+
+        monkeypatch.setattr(BlockEntry, "counts_at", fail)
+        assert block.counts == [0, 1, 1]
+        # Rank position 4 is not a parent row; position 5 is, with child code 2.
+        assert engine.child_block(PARENT, CHILD, 5).counts == [0, 1, 1]
+        assert engine.child_block(PARENT, CHILD, 6).counts == [0, 1, 2]
+        assert block.counts == [0, 1, 1]
