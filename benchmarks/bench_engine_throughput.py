@@ -215,9 +215,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--synthetic-rows", type=int, default=10_000)
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument(
-        "--min-seconds", type=float, default=0.0,
+        "--min-seconds", type=float, default=1.0,
         help="keep repeating each entry until this much wall clock has been "
-        "measured (stabilises ratios on noisy machines)",
+        "measured (stabilises ratios on noisy machines; 1.0 is the value the "
+        "committed BENCH_engine.json was written with)",
     )
     args = parser.parse_args(argv)
 

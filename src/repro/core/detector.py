@@ -240,10 +240,10 @@ class Detector(abc.ABC):
         run through an alternative counter implementation (e.g. the naive
         per-pattern reference path in :mod:`repro.core.engine.naive`); by default a
         fresh engine-backed :class:`PatternCounter` is built with the cache
-        capacities and sparse threshold of the execution config.  When the config
-        asks for more than one worker, full searches are sharded over a process
-        pool attached to the dataset through shared memory; the per-k result sets
-        are bit-identical either way.
+        capacities of the execution config.  When the config asks for more than
+        one worker, full searches are sharded over a process pool attached to the
+        dataset through shared memory; the per-k result sets are bit-identical
+        either way.
 
         This is a one-shot compatibility wrapper: it opens a single-query
         :class:`~repro.core.session.AuditSession`, runs this detector through it

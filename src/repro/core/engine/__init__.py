@@ -3,7 +3,7 @@
 Every detector in the reproduction (IterTD, GlobalBounds, PropBounds) bottlenecks on
 counting: for each visited lattice node it needs the node's size in the dataset
 (``s_D(p)``) and its count among the top-k ranked tuples (``s_Rk(D)(p)``).  This
-package replaces the per-pattern boolean-mask path with a batched, prefix-count
+package replaces the per-pattern boolean-mask path with a batched counting
 engine, :class:`CountingEngine` — the one counter class, which
 :mod:`repro.core.pattern_graph` also exports as ``PatternCounter`` — built on three
 pillars:
@@ -11,13 +11,13 @@ pillars:
 1. **Sibling-batch evaluation** (:mod:`~repro.core.engine.blocks`,
    :meth:`CountingEngine.child_block`) — all children of one attribute are evaluated
    with a single ``np.bincount`` over the parent's matched column slice.
-2. **Prefix-count representation** (:mod:`~repro.core.engine.masks`) — cached
-   matches store sorted rank positions (sparse) or a cumulative-count prefix
-   (dense), so the top-k count for *any* ``k`` costs one binary search / lookup;
-   repeated k-sweeps re-read cached sibling blocks (the k-sweep fast path).
-3. **Adaptive dense → sparse storage with LRU eviction**
-   (:mod:`~repro.core.engine.cache`) — deep lattice levels cost memory proportional
-   to group size, and a full cache evicts cold entries instead of refusing new ones.
+2. **Sorted rank positions** (:meth:`CountingEngine.match`) — a cached match is
+   the sorted ``int32`` array of the rank positions a pattern occupies, so its
+   size is the array's length and its top-k count for *any* ``k`` is one binary
+   search; repeated k-sweeps re-read cached sibling blocks (the k-sweep fast path).
+3. **LRU eviction** (:mod:`~repro.core.engine.cache`) — deep lattice levels cost
+   memory proportional to group size, and a full cache evicts cold entries instead
+   of refusing new ones.
 
 :class:`~repro.core.engine.naive.NaiveCounter` preserves the seed per-pattern path
 as a reference oracle for parity tests and as the baseline the throughput benchmark
@@ -37,12 +37,6 @@ from __future__ import annotations
 from repro.core.engine.blocks import BlockEntry, EngineBlock, MaterializedBlock
 from repro.core.engine.cache import LRUCache
 from repro.core.engine.counting import DEFAULT_CACHE_CAPACITY, CountingEngine
-from repro.core.engine.masks import (
-    DEFAULT_SPARSE_THRESHOLD,
-    DenseMatch,
-    SparseMatch,
-    make_match,
-)
 from repro.core.engine.naive import NaiveCounter
 from repro.core.engine.parallel import (
     ExecutionConfig,
@@ -65,9 +59,6 @@ __all__ = [
     "BlockEntry",
     "EngineBlock",
     "MaterializedBlock",
-    "DenseMatch",
-    "SparseMatch",
-    "make_match",
     "SharedDatasetHandle",
     "SharedDatasetView",
     "shared_memory_available",
@@ -77,5 +68,4 @@ __all__ = [
     "ParallelSearchExecutor",
     "create_search_executor",
     "DEFAULT_CACHE_CAPACITY",
-    "DEFAULT_SPARSE_THRESHOLD",
 ]

@@ -47,10 +47,6 @@ class LRUCache(Generic[K, V]):
         self.hits += 1
         return entry
 
-    def peek(self, key: K) -> V | None:
-        """Return the cached value without touching recency or counters."""
-        return self._entries.get(key)
-
     def put(self, key: K, value: V) -> None:
         """Insert ``value``, evicting the least recently used entry when full."""
         if self._capacity == 0:

@@ -8,19 +8,18 @@ It differs from a per-pattern mask cache in three ways:
 * **Sibling-batch evaluation** — :meth:`child_block` evaluates all children of one
   attribute with one ``np.bincount`` over the parent's matched column slice,
   producing sizes and top-k counts for the whole sibling block at once.
-* **Prefix-count representation** — cached matches store sorted rank positions (or
-  a cumulative-count prefix for dense matches), so ``top_k_count(p, k)`` for *any*
-  ``k`` is one ``np.searchsorted`` / array lookup.  A k-sweep re-reads cached blocks
-  instead of recomputing masks (the k-sweep fast path), and each cached block
-  steps its counts from ``k`` to ``k + 1`` by the one row that enters the prefix
-  (:meth:`~repro.core.engine.blocks.BlockEntry.counts_for`).
-* **Adaptive dense → sparse storage with LRU eviction** — matches switch from
-  boolean masks to ``int32`` index arrays once selectivity drops below a threshold,
-  and both caches evict least-recently-used entries instead of refusing new ones.
+* **Sorted rank positions** — a cached match is the sorted ``int32`` array of the
+  rank positions a pattern occupies, so ``size(p)`` is its length and
+  ``top_k_count(p, k)`` for *any* ``k`` is one ``np.searchsorted``.  A k-sweep
+  re-reads cached blocks instead of recomputing matches (the k-sweep fast path),
+  and each cached block steps its counts from ``k`` to ``k + 1`` by the one row
+  that enters the prefix (:meth:`~repro.core.engine.blocks.BlockEntry.counts_for`).
+* **LRU eviction** — both caches evict least-recently-used entries instead of
+  refusing new ones, so deep lattice levels cost memory proportional to group size.
 
-The engine keeps its own instrumentation (batch evaluations, cache hits / misses /
-evictions, dense / sparse entry counts); :meth:`CountingEngine.publish_stats` copies
-the work a run did onto its :class:`~repro.core.stats.SearchStats`.
+The engine keeps its own instrumentation (batch evaluations, block reuses, cache
+hits / misses / evictions); :meth:`CountingEngine.publish_stats` copies the work a
+run did onto its :class:`~repro.core.stats.SearchStats`.
 """
 
 from __future__ import annotations
@@ -31,13 +30,6 @@ import numpy as np
 
 from repro.core.engine.blocks import BlockEntry, EngineBlock
 from repro.core.engine.cache import LRUCache
-from repro.core.engine.masks import (
-    DEFAULT_SPARSE_THRESHOLD,
-    POSITION_DTYPE,
-    DenseMatch,
-    SparseMatch,
-    make_match,
-)
 from repro.core.engine.tree import SearchTree
 from repro.core.pattern import Pattern
 from repro.core.stats import COUNTER_TYPES, SearchStats
@@ -48,6 +40,9 @@ from repro.ranking.base import Ranking
 #: Default number of cached pattern matches (and sibling blocks).
 DEFAULT_CACHE_CAPACITY = 250_000
 
+#: dtype of every cached match and block row array: sorted rank positions.
+POSITION_DTYPE = np.int32
+
 _BlockKey = tuple[Pattern, int]
 
 
@@ -55,8 +50,8 @@ class CountingEngine:
     """Vectorized, memoised size / top-k-count oracle over a dataset and ranking.
 
     Rows are stored in rank order, so the top-k count of a pattern is the number of
-    its matching rank positions below ``k`` — answered from a prefix-count
-    representation in ``O(log n)`` for any ``k``.
+    its matching rank positions below ``k`` — one binary search over the
+    pattern's cached sorted positions, ``O(log n)`` for any ``k``.
     """
 
     def __init__(
@@ -66,7 +61,6 @@ class CountingEngine:
         *,
         max_cached_masks: int = DEFAULT_CACHE_CAPACITY,
         max_cached_blocks: int | None = None,
-        sparse_threshold: float = DEFAULT_SPARSE_THRESHOLD,
         ranked_codes: np.ndarray | None = None,
     ) -> None:
         if ranking.dataset is not dataset and ranking.dataset != dataset:
@@ -100,21 +94,17 @@ class CountingEngine:
                     )
         self._ranked_codes = ranked_codes
         self._n_rows = dataset.n_rows
-        self._sparse_threshold = float(sparse_threshold)
         self._tree = SearchTree(dataset)
         if max_cached_blocks is None:
             max_cached_blocks = max_cached_masks
-        self._matches: LRUCache[Pattern, DenseMatch | SparseMatch] = LRUCache(max_cached_masks)
+        self._matches: LRUCache[Pattern, np.ndarray] = LRUCache(max_cached_masks)
         self._blocks: LRUCache[_BlockKey, BlockEntry] = LRUCache(max_cached_blocks)
         # The empty pattern matches every row; it is pinned outside the LRU cache.
-        self._root = DenseMatch(np.ones(self._n_rows, dtype=bool))
+        self._root = np.arange(self._n_rows, dtype=POSITION_DTYPE)
         self._row_cache: tuple[int, frozenset[tuple[str, object]]] | None = None
         # -- instrumentation ---------------------------------------------------
         self.batch_evaluations = 0
         self.block_reuses = 0
-        self.dense_masks = 0
-        self.sparse_masks = 0
-        self.representation_switches = 0
 
     # -- basic facts -----------------------------------------------------------
     @property
@@ -134,10 +124,6 @@ class CountingEngine:
         return self._tree
 
     @property
-    def sparse_threshold(self) -> float:
-        return self._sparse_threshold
-
-    @property
     def ranked_codes(self) -> np.ndarray:
         """The dataset's codes matrix in rank order (column-major ``int32``).
 
@@ -148,13 +134,16 @@ class CountingEngine:
         return self._ranked_codes
 
     # -- match computation ------------------------------------------------------
-    def match(self, pattern: Pattern) -> DenseMatch | SparseMatch:
-        """The (cached) match representation of ``pattern`` over the ranked rows."""
+    def match(self, pattern: Pattern) -> np.ndarray:
+        """The (cached) sorted ``int32`` rank positions of the rows ``pattern`` matches.
+
+        The array is shared with the cache: callers must not mutate it.
+        """
         if pattern.is_empty():
             return self._root
-        entry = self._matches.get(pattern)
-        if entry is not None:
-            return entry
+        positions = self._matches.get(pattern)
+        if positions is not None:
+            return positions
         parent, dropped = self._tree.split_last(pattern)
         column_index = self._tree.attribute_index(dropped)
         code = self._schema.attributes[column_index].code(pattern[dropped])
@@ -162,45 +151,29 @@ class CountingEngine:
         if cached_block is not None:
             positions = cached_block.positions_for(code)
         else:
-            parent_match = self.match(parent)
-            rows = parent_match.positions()
-            column = self._ranked_codes[:, column_index]
-            positions = rows[column[rows] == code]
-        return self._remember(pattern, parent, positions)
-
-    def _remember(
-        self, pattern: Pattern, parent: Pattern, positions: np.ndarray
-    ) -> DenseMatch | SparseMatch:
-        entry = make_match(positions, self._n_rows, self._sparse_threshold)
-        if entry.is_dense:
-            self.dense_masks += 1
-        else:
-            self.sparse_masks += 1
-        parent_entry = self._root if parent.is_empty() else self._matches.peek(parent)
-        if parent_entry is not None and parent_entry.is_dense and not entry.is_dense:
-            self.representation_switches += 1
-        self._matches.put(pattern, entry)
-        return entry
+            rows = self.match(parent)
+            positions = rows[self._ranked_codes[:, column_index][rows] == code]
+        self._matches.put(pattern, positions)
+        return positions
 
     # -- scalar queries ---------------------------------------------------------
     def size(self, pattern: Pattern) -> int:
         """``s_D(p)`` — the number of tuples in the dataset satisfying ``pattern``."""
-        return self.match(pattern).size
+        return int(self.match(pattern).shape[0])
 
     def top_k_count(self, pattern: Pattern, k: int) -> int:
         """``s_Rk(D)(p)`` — the number of top-k tuples satisfying ``pattern``."""
-        return self.match(pattern).top_k_count(k)
+        return int(np.searchsorted(self.match(pattern), k, side="left"))
 
     def top_k_counts(self, pattern: Pattern, ks: np.ndarray) -> np.ndarray:
         """Vectorized ``s_Rk(D)(p)`` over a whole array of ``k`` values at once."""
-        return self.match(pattern).top_k_counts(np.asarray(ks))
+        return np.searchsorted(self.match(pattern), np.asarray(ks), side="left")
 
     def mask(self, pattern: Pattern) -> np.ndarray:
-        """Boolean match mask of ``pattern`` over the rank-ordered rows."""
-        entry = self.match(pattern)
-        if entry.is_dense:
-            return entry.boolean_mask()
-        return entry.boolean_mask(self._n_rows)
+        """Boolean match mask of ``pattern`` over the rank-ordered rows (a fresh array)."""
+        mask = np.zeros(self._n_rows, dtype=bool)
+        mask[self.match(pattern)] = True
+        return mask
 
     def row_satisfies(self, rank: int, pattern: Pattern) -> bool:
         """Whether the tuple at (1-based) ``rank`` satisfies ``pattern``.
@@ -255,8 +228,7 @@ class CountingEngine:
             self.block_reuses += 1
             return EngineBlock(cached, k)
         attribute = self._schema.attributes[attribute_index]
-        parent_match = self.match(parent)
-        rows = parent_match.positions()
+        rows = self.match(parent)
         column = self._ranked_codes[:, attribute_index][rows]
         sizes = np.bincount(column, minlength=attribute.cardinality)
         entry = BlockEntry(parent, attribute, rows, column, sizes)
@@ -293,9 +265,6 @@ class CountingEngine:
             "cache_hits": self._matches.hits + self._blocks.hits,
             "cache_misses": self._matches.misses + self._blocks.misses,
             "cache_evictions": self._matches.evictions + self._blocks.evictions,
-            "dense_masks": self.dense_masks,
-            "sparse_masks": self.sparse_masks,
-            "representation_switches": self.representation_switches,
         }
 
     def publish_stats(self, stats: SearchStats, since: dict[str, int] | None = None) -> None:
@@ -315,5 +284,4 @@ class CountingEngine:
                 stats.extra[name] = value
 
 
-# Re-exported for callers that want to size sparse arrays consistently.
 __all__ = ["CountingEngine", "DEFAULT_CACHE_CAPACITY", "POSITION_DTYPE"]

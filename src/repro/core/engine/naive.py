@@ -12,7 +12,7 @@ stops accepting entries once full.  It exists so that
 
 It implements the counting methods of :class:`~repro.core.engine.counting.CountingEngine`
 (including ``child_blocks``), but performs one Python-level mask computation per
-child — no batching, no prefix counts, no sparse storage — and keeps no counters,
+child — no batching, no cached rank positions — and keeps no counters,
 so it has no ``stats_snapshot``/``publish_stats`` and never runs sharded.
 """
 

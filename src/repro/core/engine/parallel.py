@@ -80,7 +80,6 @@ from repro.core.engine.faults import (
     FaultInjector,
     FaultPlan,
 )
-from repro.core.engine.masks import DEFAULT_SPARSE_THRESHOLD
 from repro.core.engine.shared import SharedDatasetHandle, SharedDatasetView, shared_memory_available
 from repro.core.engine.sharding import estimate_subtree_weight, partition_weighted
 from repro.core.pattern import EMPTY_PATTERN, Pattern
@@ -120,10 +119,6 @@ class ExecutionConfig:
     block_cache_capacity:
         Maximum number of cached sibling blocks; ``None`` (default) mirrors
         ``match_cache_capacity``.
-    sparse_threshold:
-        Selectivity below which a cached match switches from a dense boolean mask
-        to an ``int32`` position array (default
-        :data:`~repro.core.engine.masks.DEFAULT_SPARSE_THRESHOLD`, 0.25).
     start_method:
         Multiprocessing start method for the worker processes; ``None`` picks
         ``fork`` where available (cheapest) and ``spawn`` otherwise.
@@ -167,7 +162,6 @@ class ExecutionConfig:
     backend: str = "process"
     match_cache_capacity: int = DEFAULT_CACHE_CAPACITY
     block_cache_capacity: int | None = None
-    sparse_threshold: float = DEFAULT_SPARSE_THRESHOLD
     start_method: str | None = None
     heartbeat_interval: float = 1.0
     heartbeat_timeout: float = 30.0
@@ -189,8 +183,6 @@ class ExecutionConfig:
             raise ConfigurationError("match_cache_capacity must be non-negative")
         if self.block_cache_capacity is not None and self.block_cache_capacity < 0:
             raise ConfigurationError("block_cache_capacity must be non-negative")
-        if self.sparse_threshold < 0:
-            raise ConfigurationError("sparse_threshold must be non-negative")
         if self.start_method not in _START_METHODS:
             raise ConfigurationError(
                 f"start_method must be one of {_START_METHODS[1:]} or None"
@@ -239,7 +231,6 @@ class ExecutionConfig:
         return {
             "max_cached_masks": self.match_cache_capacity,
             "max_cached_blocks": self.block_cache_capacity,
-            "sparse_threshold": self.sparse_threshold,
         }
 
 
@@ -453,11 +444,7 @@ class ParallelSearchExecutor:
         # are k-independent, so each tau_s is computed once per executor lifetime
         # and reused by every query that shares it).
         self._assignments: dict[int, dict[Pattern, int]] = {}
-        self._view = SharedDatasetView.publish(
-            counter.ranked_codes,
-            np.ascontiguousarray(counter.ranking.order),
-            counter.dataset.schema,
-        )
+        self._view = SharedDatasetView.publish(counter.ranked_codes, counter.dataset.schema)
         self._context = multiprocessing.get_context(config.resolved_start_method())
         self._handle = self._view.handle()
         self._processes: list = [None] * self._workers
@@ -827,7 +814,7 @@ class ParallelSearchExecutor:
 
     # -- lifecycle ---------------------------------------------------------------
     def close(self) -> None:
-        """Shut the workers down and release the shared-memory segments."""
+        """Shut the workers down and release the shared-memory segment."""
         if self._closed:
             return
         self._closed = True
@@ -872,7 +859,7 @@ def create_search_executor(
     memory: no ``multiprocessing.shared_memory``, a sandbox where allocating a
     segment fails with ``OSError``/``PermissionError``, or workers that cannot
     attach/start (surfaced as :class:`DetectionError` from the startup
-    handshake — the executor's constructor cleans its processes and segments up
+    handshake — the executor's constructor cleans its processes and segment up
     before raising, so falling back is safe).
 
     ``generation`` numbers the executors a session creates over its lifetime

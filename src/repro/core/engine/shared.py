@@ -4,22 +4,22 @@ The parallel search executor fans one search out over a pool of worker processes
 Pickling the dataset to every worker would copy the (potentially
 million-row) ``int32`` codes matrix once per process and once more when NumPy
 deserialises it; instead the coordinator *publishes* the engine's rank-ordered
-codes matrix and the ranking's rank-order permutation through
-:mod:`multiprocessing.shared_memory`, and every worker attaches to the same pages
-read-only.  Attaching costs a couple of ``mmap`` calls regardless of dataset size,
-and the matrix is stored column-major exactly as the counting engine wants it, so a
-worker engine starts from the shared buffer without a single row being copied.
+codes matrix through one :mod:`multiprocessing.shared_memory` segment, and every
+worker attaches to the same pages read-only.  Attaching costs one ``mmap`` call
+regardless of dataset size, and the matrix is stored column-major exactly as the
+counting engine wants it, so a worker engine starts from the shared buffer without
+a single row being copied.
 
 Two objects are involved:
 
 * :class:`SharedDatasetView` — the *owner* side, created with
-  :meth:`SharedDatasetView.publish`.  It allocates the segments, copies the arrays
+  :meth:`SharedDatasetView.publish`.  It allocates the segment, copies the matrix
   in once, and is responsible for ``close()``/``unlink()`` when the pool shuts
   down.
-* :class:`SharedDatasetHandle` — a small picklable descriptor (segment names,
-  shape, dtypes, schema) shipped to workers through the pool initializer.
-  :meth:`SharedDatasetHandle.attach` maps the segments into the worker and wraps
-  them as read-only NumPy arrays.
+* :class:`SharedDatasetHandle` — a small picklable descriptor (segment name,
+  shape, dtype, schema) shipped to workers through the pool initializer.
+  :meth:`SharedDatasetHandle.attach` maps the segment into the worker and wraps
+  it as a read-only NumPy array.
 
 Platforms without working POSIX shared memory (some restricted sandboxes mount no
 ``/dev/shm``) raise ``OSError`` from ``publish``; callers are expected to catch it
@@ -51,15 +51,13 @@ class SharedDatasetHandle:
     """Picklable descriptor of a published dataset (shipped to worker processes)."""
 
     codes_segment: str
-    order_segment: str
     n_rows: int
     n_attributes: int
     codes_dtype: str
-    order_dtype: str
     schema: Schema
 
     def attach(self) -> "SharedDatasetView":
-        """Map the published segments into this process (read-only, zero-copy).
+        """Map the published segment into this process (read-only, zero-copy).
 
         No resource-tracker handling is needed on attach: on POSIX every worker
         start method shares the owner's tracker (the tracker fd is inherited by
@@ -70,45 +68,23 @@ class SharedDatasetHandle:
         if _shared_memory is None:  # pragma: no cover - guarded by publish()
             raise OSError("multiprocessing.shared_memory is unavailable on this platform")
         codes_shm = _shared_memory.SharedMemory(name=self.codes_segment)
-        try:
-            order_shm = _shared_memory.SharedMemory(name=self.order_segment)
-        except BaseException:
-            codes_shm.close()
-            raise
-        view = SharedDatasetView(self, codes_shm, order_shm, owner=False)
-        return view
+        return SharedDatasetView(self, codes_shm, owner=False)
 
 
 class SharedDatasetView:
-    """Shared-memory view of a ranked codes matrix and its rank permutation.
+    """Shared-memory view of a dataset's codes matrix in rank order.
 
     The owner side is built with :meth:`publish`; worker processes obtain attached
-    (non-owning) views through :meth:`SharedDatasetHandle.attach`.  Both expose the
-    same two read-only arrays:
-
-    * :attr:`ranked_codes` — the dataset's ``int32`` codes matrix with rows already
-      in rank order, column-major (the layout the counting engine gathers from);
-    * :attr:`order` — the ranking's rank-order permutation (``order[i]`` is the
-      original row index of the item at rank ``i + 1``).
-
-    Together the two arrays are a complete shared representation of the
-    (dataset, ranking) pair: search workers only gather from ``ranked_codes``
-    (their counting is defined over rank positions), while ``order`` — at eight
-    bytes per row a negligible add-on next to the codes matrix — is what lets
-    any attaching consumer map rank positions back to original dataset rows
-    (e.g. to join detected groups against source records).
+    (non-owning) views through :meth:`SharedDatasetHandle.attach`.  Both expose
+    :attr:`ranked_codes`, the dataset's ``int32`` codes matrix with rows already in
+    rank order, column-major (the layout the counting engine gathers from), as a
+    read-only array.  Search workers count over rank positions, so they need
+    nothing else: each builds an identity ranking over the shared rows.
     """
 
-    def __init__(
-        self,
-        handle: SharedDatasetHandle,
-        codes_shm,
-        order_shm,
-        owner: bool,
-    ) -> None:
+    def __init__(self, handle: SharedDatasetHandle, codes_shm, owner: bool) -> None:
         self._handle = handle
         self._codes_shm = codes_shm
-        self._order_shm = order_shm
         self._owner = owner
         self._closed = False
         shape = (handle.n_rows, handle.n_attributes)
@@ -116,20 +92,11 @@ class SharedDatasetView:
             shape, dtype=np.dtype(handle.codes_dtype), buffer=codes_shm.buf, order="F"
         )
         self.ranked_codes.setflags(write=False)
-        self.order = np.ndarray(
-            (handle.n_rows,), dtype=np.dtype(handle.order_dtype), buffer=order_shm.buf
-        )
-        self.order.setflags(write=False)
 
     # -- construction -----------------------------------------------------------
     @classmethod
-    def publish(
-        cls,
-        ranked_codes: np.ndarray,
-        order: np.ndarray,
-        schema: Schema,
-    ) -> "SharedDatasetView":
-        """Copy ``ranked_codes`` and ``order`` into fresh shared-memory segments.
+    def publish(cls, ranked_codes: np.ndarray, schema: Schema) -> "SharedDatasetView":
+        """Copy ``ranked_codes`` into a fresh shared-memory segment.
 
         This is the only copy the parallel executor ever makes of the dataset: every
         worker attaches to the same pages.  Raises ``OSError`` when the platform
@@ -139,34 +106,19 @@ class SharedDatasetView:
             raise OSError("multiprocessing.shared_memory is unavailable on this platform")
         if ranked_codes.ndim != 2:
             raise ValueError("ranked_codes must be a 2-dimensional (rows, attributes) matrix")
-        if order.shape != (ranked_codes.shape[0],):
-            raise ValueError(
-                f"order has shape {order.shape} but ranked_codes has "
-                f"{ranked_codes.shape[0]} rows"
-            )
         codes_shm = _shared_memory.SharedMemory(create=True, size=max(1, ranked_codes.nbytes))
-        try:
-            order_shm = _shared_memory.SharedMemory(create=True, size=max(1, order.nbytes))
-        except BaseException:
-            codes_shm.close()
-            codes_shm.unlink()
-            raise
         handle = SharedDatasetHandle(
             codes_segment=codes_shm.name,
-            order_segment=order_shm.name,
             n_rows=int(ranked_codes.shape[0]),
             n_attributes=int(ranked_codes.shape[1]),
             codes_dtype=ranked_codes.dtype.str,
-            order_dtype=order.dtype.str,
             schema=schema,
         )
         codes_target = np.ndarray(
             ranked_codes.shape, dtype=ranked_codes.dtype, buffer=codes_shm.buf, order="F"
         )
         np.copyto(codes_target, ranked_codes)
-        order_target = np.ndarray(order.shape, dtype=order.dtype, buffer=order_shm.buf)
-        np.copyto(order_target, order)
-        return cls(handle, codes_shm, order_shm, owner=True)
+        return cls(handle, codes_shm, owner=True)
 
     # -- accessors --------------------------------------------------------------
     @property
@@ -189,30 +141,27 @@ class SharedDatasetView:
         """The picklable descriptor workers use to attach.
 
         Refuses to hand out a handle once the view is closed: the owner's
-        ``close()`` *unlinks* the segments, so a handle minted afterwards would
+        ``close()`` *unlinks* the segment, so a handle minted afterwards would
         name memory that no longer exists and every respawned worker built from
         it would die attaching.  The supervisor's respawn path depends on this
         guard failing loudly instead.
         """
         if self._closed:
-            raise OSError("the shared dataset view is closed; its segments are unlinked")
+            raise OSError("the shared dataset view is closed; its segment is unlinked")
         return self._handle
 
     # -- lifecycle --------------------------------------------------------------
     def close(self) -> None:
-        """Drop this process's mapping (the owner also unlinks the segments)."""
+        """Drop this process's mapping (the owner also unlinks the segment)."""
         if self._closed:
             return
         self._closed = True
-        # Release the exported array views before closing the mappings, otherwise
+        # Release the exported array view before closing the mapping, otherwise
         # SharedMemory.close() warns about outstanding buffer references.
         self.ranked_codes = None
-        self.order = None
         self._codes_shm.close()
-        self._order_shm.close()
         if self._owner:
             self._codes_shm.unlink()
-            self._order_shm.unlink()
 
     def __enter__(self) -> "SharedDatasetView":
         return self

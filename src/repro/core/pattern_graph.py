@@ -9,10 +9,10 @@ Two names live here:
 * :data:`PatternCounter` — memoised computation of ``s_D(p)`` and ``s_Rk(D)(p)``
   over a fixed dataset and ranking.  It is another name for
   :class:`repro.core.engine.CountingEngine`, the one counter class: sizes and top-k
-  counts come from prefix-count match representations, whole sibling blocks are
-  evaluated with one ``np.bincount``, and the caches evict least-recently-used
-  entries.  The name is public API, and the benchmark tracer looks
-  ``row_satisfies`` up through it.
+  counts come from each match's cached sorted rank positions, whole sibling
+  blocks are evaluated with one ``np.bincount``, and the caches evict
+  least-recently-used entries.  The name is public API, and the benchmark tracer
+  looks ``row_satisfies`` up through it.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ work in four distinct ways, each addressed by one layer of this module:
   running it alone.
 * **Cross-query result reuse** — the session's
   :class:`~repro.core.result_store.ResultStore` keeps finished covering sweeps
-  (with their resume frontiers) keyed by canonical query + dataset fingerprint
+  (with their resume frontiers) keyed by canonical query + ranking fingerprint
   and serves any later query whose range is *contained* in a cached one, again
   by restriction.
 * **Partial-hit planning** — when the caller supplies a *coverage* view of its

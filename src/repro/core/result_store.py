@@ -16,10 +16,10 @@ their resume frontiers) outlive a query, a session and a process:
   ranking anywhere in the process reuse each other's sweeps.
 * :class:`DiskResultStore` — an on-disk store built on the sweep serde
   (:func:`repro.core.serialization.sweep_to_dict`, format v5).  Entries are
-  keyed by ``Dataset.fingerprint()`` + the canonical query, so a fresh process
-  auditing the same ranking starts warm.  Corrupted files, older format
-  versions and fingerprint mismatches degrade to quarantined cache misses,
-  never errors.
+  keyed by ``Ranking.fingerprint()`` (the dataset's fingerprint and the rank
+  order) + the canonical query, so a fresh process auditing the same ranking
+  starts warm.  Corrupted files, older format versions and fingerprint
+  mismatches degrade to quarantined cache misses, never errors.
 
 Every backend answers three questions about a ``(fingerprint, group)`` pair:
 
@@ -92,11 +92,11 @@ class StoreEntry:
 class ResultStore(abc.ABC):
     """Interface of a covering-sweep store with containment and extension hits.
 
-    Entries are keyed by the dataset fingerprint plus the canonical query (group
-    key + covering k range), so a store can only ever answer queries about the
-    exact dataset whose sweeps it holds.  Implementations maintain the shared
-    provenance counters ``hits`` / ``misses`` / ``partial_hits`` /
-    ``insertions`` / ``evictions``.
+    Entries are keyed by the ranking fingerprint (which covers the dataset's)
+    plus the canonical query (group key + covering k range), so a store can only
+    ever answer queries about the exact dataset and rank order whose sweeps it
+    holds.  Implementations maintain the shared provenance counters ``hits`` /
+    ``misses`` / ``partial_hits`` / ``insertions`` / ``evictions``.
     """
 
     def __init__(self) -> None:
@@ -399,14 +399,14 @@ class DiskResultStore(ResultStore):
     """On-disk result store: one JSON sweep file (format v5) per covering sweep.
 
     ``directory`` is created on first use.  File names are
-    ``<digest>_<k_min>_<k_max>.json`` where the digest hashes the dataset
+    ``<digest>_<k_min>_<k_max>.json`` where the digest hashes the ranking
     fingerprint plus the canonical group key, so lookups scan only the files of
-    the asked group and never deserialise another dataset's entries.  Every
-    loaded payload is *re-validated* — format version, dataset fingerprint and
+    the asked group and never deserialise another ranking's entries.  Every
+    loaded payload is *re-validated* — format version, ranking fingerprint and
     group key must all match — so a renamed, truncated, corrupted or
     stale-format file degrades to a cache miss (counted in
     ``unreadable_entries``), never an error, and a fingerprint mismatch can
-    never serve another dataset's results.
+    never serve another dataset's or ranking's results.
 
     A file that fails validation is additionally *quarantined*: renamed to
     ``<name>.json.corrupt`` (counted in ``quarantined_entries``) so later

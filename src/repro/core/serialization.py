@@ -18,8 +18,9 @@ generation at which each shape was introduced):
   be parsed back);
 * a *sweep* payload (``sweep_to_dict``, :data:`SWEEP_FORMAT_VERSION` = v5) — one
   finished covering k-sweep as stored by the persistent result store
-  (:mod:`repro.core.result_store`): the dataset fingerprint, the canonical
-  query that produced the sweep, the per-k result sets and the
+  (:mod:`repro.core.result_store`): the ranking fingerprint
+  (:meth:`~repro.ranking.base.Ranking.fingerprint`, which covers the dataset's),
+  the canonical query that produced the sweep, the per-k result sets and the
   :class:`~repro.core.top_down.SweepFrontier` from which the sweep can be
   extended to a larger ``k_max`` in another session or process.  Only the
   current version loads; the store turns an older file into a quarantined
@@ -304,7 +305,7 @@ def sweep_from_dict(data: Mapping[str, object]):
         )
     fingerprint = data.get("fingerprint")
     if not isinstance(fingerprint, str) or not fingerprint:
-        raise DetectionError("malformed sweep payload: missing dataset fingerprint")
+        raise DetectionError("malformed sweep payload: missing ranking fingerprint")
     query_raw = data.get("query")
     if not isinstance(query_raw, Mapping):
         raise DetectionError("malformed sweep payload: missing 'query' mapping")

@@ -30,7 +30,7 @@ infrastructure warm across queries:
 * a **pluggable result store** (:mod:`repro.core.result_store`): finished
   covering sweeps are kept — together with the
   :class:`~repro.core.top_down.SweepFrontier` they ended on — keyed by
-  canonical query + :meth:`~repro.data.dataset.Dataset.fingerprint`.  Any later
+  canonical query + :meth:`~repro.ranking.base.Ranking.fingerprint`.  Any later
   query whose k range is contained in a cached sweep is answered by
   :meth:`~repro.core.result_set.DetectionResult.restrict_k` without running a
   single search; a query that only *partially* overlaps a cached sweep is
@@ -145,9 +145,10 @@ class AuditSession:
         across every session in the process, or a
         :class:`~repro.core.result_store.DiskResultStore` to persist them
         across processes — repeated audits of the same published ranking then
-        start warm, including partial (frontier-extension) hits.  Stores key
-        every entry by :meth:`~repro.data.dataset.Dataset.fingerprint`, so a
-        shared store can never leak results between different datasets.
+        start warm, including partial (frontier-extension) hits.  The session
+        keys every entry by :meth:`~repro.ranking.base.Ranking.fingerprint`,
+        which covers the dataset's fingerprint and the rank order, so a shared
+        store never serves one dataset's or ranking's sweep to another.
     result_cache_capacity:
         Capacity of the private in-memory store created when ``store`` is not
         given; ``0`` disables cross-query result reuse (every plan step
@@ -342,7 +343,7 @@ class AuditSession:
             batch = list(queries)
             for query in batch:
                 self._parameters_for(query).validate_for(self._dataset)
-            fingerprint = self._dataset.fingerprint()
+            fingerprint = self._ranking.fingerprint()
             plan = plan_queries(
                 batch,
                 coverage=lambda group_key: self._store.coverage(fingerprint, group_key),
@@ -405,7 +406,7 @@ class AuditSession:
         a two-sided frontier extension of a cached sweep, or one real covering
         run."""
         store = self.result_cache
-        fingerprint = self._dataset.fingerprint()
+        fingerprint = self._ranking.fingerprint()
         covering = store.lookup(
             fingerprint, step.group_key, step.query.k_min, step.query.k_max
         )
@@ -738,7 +739,7 @@ class AuditSession:
 
     # -- lifecycle ---------------------------------------------------------------
     def close(self) -> None:
-        """Shut the worker pool down and release the shared-memory segments.
+        """Shut the worker pool down and release the shared-memory segment.
 
         Idempotent.  The session refuses new queries afterwards; already returned
         reports (and the warm counter) stay usable.

@@ -34,12 +34,6 @@ class SearchStats:
     cache_misses: int = 0
     #: Entries evicted from the counting-engine caches (LRU policy).
     cache_evictions: int = 0
-    #: Pattern matches stored densely (boolean mask + cumulative counts).
-    dense_masks: int = 0
-    #: Pattern matches stored sparsely (int32 rank-position arrays).
-    sparse_masks: int = 0
-    #: Dense→sparse representation switches along parent/child chains.
-    representation_switches: int = 0
     #: Session result-cache hits: this query was answered by slicing a cached
     #: covering k-sweep instead of running any search.
     result_cache_hits: int = 0

@@ -11,6 +11,7 @@ positions, prefix datasets) used throughout the library.
 from __future__ import annotations
 
 import abc
+import hashlib
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -43,6 +44,7 @@ class Ranking:
         self._position_of = np.empty_like(order)
         self._position_of[order] = np.arange(order.shape[0])
         self._position_of.setflags(write=False)
+        self._fingerprint: str | None = None
 
     # -- basic accessors ------------------------------------------------------
     @property
@@ -53,6 +55,22 @@ class Ranking:
     def order(self) -> np.ndarray:
         """Row indices in rank order (best first)."""
         return self._order
+
+    def fingerprint(self) -> str:
+        """A content digest of the ranked dataset and the rank order.
+
+        Covers :meth:`Dataset.fingerprint <repro.data.dataset.Dataset.fingerprint>`
+        and ``order``, and is cached like it, so two rankings share a fingerprint
+        only when they order the same data the same way (up to hash collisions).
+        Result stores key sweeps by it: two rankings of one dataset never serve
+        each other's results.
+        """
+        if self._fingerprint is None:
+            digest = hashlib.blake2b(digest_size=16)
+            digest.update(self._dataset.fingerprint().encode("utf-8"))
+            digest.update(self._order.astype("<i8").tobytes())
+            self._fingerprint = digest.hexdigest()
+        return self._fingerprint
 
     def __len__(self) -> int:
         return int(self._order.shape[0])

@@ -7,12 +7,14 @@ import pytest
 
 from repro.core.engine.blocks import EngineBlock
 from repro.core.engine.cache import LRUCache
-from repro.core.engine.counting import CountingEngine
-from repro.core.engine.masks import DenseMatch, SparseMatch, make_match
+from repro.core.engine.counting import POSITION_DTYPE, CountingEngine
 from repro.core.engine.naive import NaiveCounter
 from repro.core.pattern import EMPTY_PATTERN, Pattern
 from repro.core.result_set import minimal_patterns
+from repro.data.dataset import Dataset
 from repro.data.generators.toy import students_toy
+from repro.data.schema import Attribute, Schema
+from repro.ranking.base import Ranking
 from repro.ranking.workloads import toy_ranker
 
 
@@ -51,16 +53,6 @@ class TestLRUCache:
         assert set(cache) == {7, 8, 9}
         assert cache.evictions == 7
 
-    def test_peek_does_not_touch_recency_or_counters(self):
-        cache: LRUCache[str, int] = LRUCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.peek("a") == 1
-        assert cache.peek("zzz") is None
-        assert cache.hits == 0 and cache.misses == 0
-        cache.put("c", 3)  # "a" was not refreshed by peek, so it is evicted
-        assert "a" not in cache
-
     def test_zero_capacity_never_stores(self):
         cache: LRUCache[str, int] = LRUCache(0)
         cache.put("a", 1)
@@ -87,9 +79,9 @@ class TestLRUCache:
         cache.put("a", 10)  # update in place; must not evict, must refresh "a"
         assert cache.evictions == 0
         cache.put("c", 3)  # now "b" is the LRU entry
-        assert cache.peek("a") == 10
         assert "b" not in cache
         assert cache.evictions == 1
+        assert cache.get("a") == 10
 
     def test_eviction_order_under_interleaved_reaccess(self):
         cache: LRUCache[int, int] = LRUCache(3)
@@ -137,34 +129,87 @@ class TestLRUCache:
         assert cache.hits == 1
 
 
-class TestMatchRepresentations:
-    def test_make_match_picks_representation_by_selectivity(self):
-        dense = make_match(np.arange(50, dtype=np.int32), 100, sparse_threshold=0.25)
-        sparse = make_match(np.arange(10, dtype=np.int32), 100, sparse_threshold=0.25)
-        assert isinstance(dense, DenseMatch) and dense.is_dense
-        assert isinstance(sparse, SparseMatch) and not sparse.is_dense
+#: The pattern that :func:`_engine_matching` makes match a chosen position set.
+MARKED = Pattern({"A": 1})
+
+
+def _engine_matching(positions, n_rows: int, **options) -> CountingEngine:
+    """An engine over one binary attribute ``A`` under the identity ranking, in
+    which :data:`MARKED` holds at exactly the rank positions ``positions``."""
+    column = np.zeros(n_rows, dtype=np.int32)
+    column[np.asarray(positions, dtype=np.intp)] = 1
+    dataset = Dataset(Schema([Attribute("A", (0, 1))]), column[:, None])
+    return CountingEngine(dataset, Ranking(dataset, np.arange(n_rows)), **options)
+
+
+class TestMatchPositions:
+    """Every cached match is its sorted rank positions; each scalar query and the
+    mask are read off that one array, whether the match was gathered from its
+    parent's rows or selected from a cached sibling block."""
+
+    N_ROWS = 20
 
     @pytest.mark.parametrize("positions", [[], [0], [3, 7, 9], list(range(20))])
-    def test_dense_and_sparse_agree(self, positions):
-        n_rows = 20
-        positions = np.asarray(positions, dtype=np.int32)
-        dense = make_match(positions, n_rows, sparse_threshold=0.0)
-        sparse = make_match(positions, n_rows, sparse_threshold=2.0)
-        assert isinstance(dense, DenseMatch)
-        assert isinstance(sparse, SparseMatch)
-        assert dense.size == sparse.size == positions.size
-        for k in range(n_rows + 1):
-            assert dense.top_k_count(k) == sparse.top_k_count(k)
-        ks = np.arange(n_rows + 1)
-        assert np.array_equal(dense.top_k_counts(ks), sparse.top_k_counts(ks))
-        for position in range(n_rows):
-            assert dense.contains_position(position) == sparse.contains_position(position)
-        assert np.array_equal(dense.positions(), sparse.positions())
+    def test_positions_answer_size_and_top_k_counts(self, positions):
+        gathered = _engine_matching(positions, self.N_ROWS)
+        from_block = _engine_matching(positions, self.N_ROWS)
+        from_block.child_block(EMPTY_PATTERN, 0, 1)
+        ks = np.arange(self.N_ROWS + 1)
+        expected_counts = [sum(position < k for position in positions) for k in ks]
+        for engine in (gathered, from_block):
+            match = engine.match(MARKED)
+            assert match.dtype == POSITION_DTYPE
+            assert match.tolist() == positions
+            assert engine.size(MARKED) == len(positions)
+            assert [engine.top_k_count(MARKED, int(k)) for k in ks] == expected_counts
+            assert engine.top_k_counts(MARKED, ks).tolist() == expected_counts
+        assert gathered.batch_evaluations == 0
+        assert from_block.batch_evaluations == 1
 
-    def test_sparse_boolean_mask_round_trip(self):
-        sparse = SparseMatch(np.asarray([1, 4, 5], dtype=np.int32))
-        mask = sparse.boolean_mask(8)
+    @pytest.mark.parametrize("positions", [[], [0], [3, 7, 9], list(range(20))])
+    def test_mask_and_row_satisfies_agree_with_positions(self, positions):
+        engine = _engine_matching(positions, self.N_ROWS)
+        expected = [position in positions for position in range(self.N_ROWS)]
+        assert engine.mask(MARKED).tolist() == expected
+        for rank in range(1, self.N_ROWS + 1):
+            assert engine.row_satisfies(rank, MARKED) == expected[rank - 1]
+
+    def test_root_match_is_every_rank_position_and_pinned(self):
+        engine = _engine_matching([2, 5], self.N_ROWS, max_cached_masks=0)
+        root = engine.match(EMPTY_PATTERN)
+        assert root.dtype == POSITION_DTYPE
+        assert root.tolist() == list(range(self.N_ROWS))
+        assert engine.size(EMPTY_PATTERN) == self.N_ROWS
+        assert engine.top_k_counts(EMPTY_PATTERN, np.arange(self.N_ROWS + 1)).tolist() == list(
+            range(self.N_ROWS + 1)
+        )
+        assert engine.mask(EMPTY_PATTERN).all()
+        engine.clear_cache()
+        # Pinned outside the LRU cache: never counted, never evicted.
+        assert engine.match(EMPTY_PATTERN) is root
+        assert engine.stats_snapshot()["cache_hits"] == 0
+        assert engine.stats_snapshot()["cache_misses"] == 0
+
+    def test_mask_is_a_fresh_array(self):
+        engine = _engine_matching([1, 4, 5], 8)
+        mask = engine.mask(MARKED)
         assert mask.tolist() == [False, True, False, False, True, True, False, False]
+        mask[:] = True  # a caller writing to its mask cannot reach the cache
+        assert engine.match(MARKED).tolist() == [1, 4, 5]
+        assert engine.mask(MARKED).tolist() == [
+            False, True, False, False, True, True, False, False
+        ]
+
+    def test_match_is_memoised_until_evicted(self):
+        engine = _engine_matching([3, 7, 9], self.N_ROWS)
+        first = engine.match(MARKED)
+        assert engine.match(MARKED) is first
+        assert engine.stats_snapshot()["cache_hits"] == 1
+        uncached = _engine_matching([3, 7, 9], self.N_ROWS, max_cached_masks=0)
+        again = uncached.match(MARKED)
+        assert uncached.match(MARKED) is not again
+        assert uncached.match(MARKED).tolist() == again.tolist() == [3, 7, 9]
+        assert uncached.stats_snapshot()["cache_hits"] == 0
 
 
 class TestCSRBlock:

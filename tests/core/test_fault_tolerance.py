@@ -346,7 +346,7 @@ class TestBatchInterruption:
         assert error.stats.query_deadline_exceeded == 1
         # The store retains exactly the completed step's sweep: the first
         # query's group is covered, the interrupted one's is not.
-        fingerprint = dataset.fingerprint()
+        fingerprint = ranking.fingerprint()
         assert store.coverage(fingerprint, query_group_key(first)) != ()
         assert store.coverage(fingerprint, query_group_key(second)) == ()
 

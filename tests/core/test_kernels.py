@@ -6,8 +6,8 @@ parent's sorted rank positions and counts every child's size,
 :meth:`BlockEntry.counts_at` counts every child inside a top-k prefix, and
 :meth:`BlockEntry.positions_for` / :meth:`CountingEngine.match` select one
 child's positions.  These tests pin that contract against hand-computed
-expectations and a brute-force per-element reference, under permuted rankings,
-dense and sparse parent matches, and block-cache reuse and eviction.
+expectations and a brute-force per-element reference, under permuted rankings
+and block-cache reuse and eviction.
 :meth:`BlockEntry.counts_for` serves the same counts from a one-slot memo that
 steps with ``k``; it is checked against :meth:`BlockEntry.counts_at` for every
 order in which a sweep can ask.
@@ -18,8 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.engine.blocks import BlockEntry, EngineBlock
-from repro.core.engine.counting import CountingEngine
-from repro.core.engine.masks import POSITION_DTYPE
+from repro.core.engine.counting import POSITION_DTYPE, CountingEngine
 from repro.core.pattern import EMPTY_PATTERN, Pattern
 from repro.data.dataset import Dataset
 from repro.data.schema import Attribute, Schema
@@ -104,7 +103,7 @@ class TestBlockCounting:
     def test_empty_rows(self):
         engine = _engine([0, 1, 2], [], 3)
         # Selected before any block is cached: the gather+filter path of match.
-        assert engine.match(PARENT.extend("C", 0)).positions().shape == (0,)
+        assert engine.match(PARENT.extend("C", 0)).shape == (0,)
         block = engine.child_block(PARENT, CHILD, 2)
         assert block.entry.column.shape == (0,)
         assert block.sizes.tolist() == [0, 0, 0]
@@ -124,7 +123,7 @@ class TestBlockCounting:
         # match() on an engine without the cached block gathers and filters
         # the column itself; it must agree with the block's selection.
         selected = {
-            code: _engine(column, rows, 3).match(PARENT.extend("C", code)).positions().tolist()
+            code: _engine(column, rows, 3).match(PARENT.extend("C", code)).tolist()
             for code in (0, 1, 2)
         }
         block = _engine(column, rows, 3).child_block(PARENT, CHILD, 6)
@@ -136,7 +135,7 @@ class TestBlockCounting:
 
     def test_positions_keep_the_position_dtype(self):
         engine = _engine([0, 1, 0], range(3), 2)
-        assert engine.match(PARENT.extend("C", 0)).positions().dtype == POSITION_DTYPE
+        assert engine.match(PARENT.extend("C", 0)).dtype == POSITION_DTYPE
         block = engine.child_block(PARENT, CHILD, 2)
         assert block.entry.rows.dtype == POSITION_DTYPE
         assert block.positions_for(0).dtype == POSITION_DTYPE
@@ -155,11 +154,10 @@ class TestBlockCounting:
                 # Without a cached block match() gathers and filters the column;
                 # with one it selects from the block.  Both must be exact.
                 for engine in (gathered, from_block):
-                    match = engine.match(child)
-                    assert match.positions().tolist() == expected
-                    assert match.size == len(expected)
+                    assert engine.match(child).tolist() == expected
+                    assert engine.size(child) == len(expected)
                     for k in (0, 1, n_total // 2, n_total):
-                        assert match.top_k_count(k) == sum(row < k for row in expected)
+                        assert engine.top_k_count(child, k) == sum(row < k for row in expected)
             assert from_block.batch_evaluations == 1
 
     def test_counts_at_every_k_matches_reference(self):
@@ -192,23 +190,6 @@ class TestBlockCounting:
                 engine.clear_cache()
                 block = engine.child_block(PARENT, CHILD, k)
                 assert block.entry.rows.tolist() == rank_rows.tolist()
-                assert block.entry.column.tolist() == ref_codes
-                assert block.sizes.tolist() == ref_sizes
-                assert block.counts == ref_counts
-
-    def test_dense_and_sparse_parents_give_the_same_block(self):
-        """The parent's match representation never changes the block."""
-        rng = np.random.default_rng(19)
-        for trial in range(10):
-            column, rows, cardinality = _random_block(rng)
-            k = column.shape[0] // 2
-            ref_codes, ref_sizes, ref_counts = _reference_evaluate(column, rows, k, cardinality)
-            # A threshold of 0 keeps every match dense; above 1 makes every one sparse.
-            for sparse_threshold, dense in ((0.0, True), (1.1, False)):
-                engine = _engine(column, rows, cardinality, sparse_threshold=sparse_threshold)
-                assert engine.match(PARENT).is_dense is dense
-                block = engine.child_block(PARENT, CHILD, k)
-                assert block.entry.rows.tolist() == rows.tolist()
                 assert block.entry.column.tolist() == ref_codes
                 assert block.sizes.tolist() == ref_sizes
                 assert block.counts == ref_counts

@@ -169,14 +169,11 @@ class TestSharedDatasetView:
         dataset, ranking = _instance(9, 60, [2, 3])
         counter = PatternCounter(dataset, ranking)
         ranked = counter.ranked_codes
-        view = SharedDatasetView.publish(
-            ranked, np.ascontiguousarray(ranking.order), dataset.schema
-        )
+        view = SharedDatasetView.publish(ranked, dataset.schema)
         try:
             attached = view.handle().attach()
             try:
                 assert np.array_equal(attached.ranked_codes, ranked)
-                assert np.array_equal(attached.order, ranking.order)
                 assert attached.ranked_codes.flags["F_CONTIGUOUS"]
                 assert not attached.ranked_codes.flags["WRITEABLE"]
                 assert attached.schema == dataset.schema
@@ -189,9 +186,7 @@ class TestSharedDatasetView:
     def test_handle_is_picklable(self):
         dataset, ranking = _instance(10, 40, [2, 2])
         counter = PatternCounter(dataset, ranking)
-        view = SharedDatasetView.publish(
-            counter.ranked_codes, np.ascontiguousarray(ranking.order), dataset.schema
-        )
+        view = SharedDatasetView.publish(counter.ranked_codes, dataset.schema)
         try:
             handle = pickle.loads(pickle.dumps(view.handle()))
             attached = handle.attach()
@@ -206,9 +201,22 @@ class TestSharedDatasetView:
         dataset, ranking = _instance(12, 30, [2, 2])
         counter = PatternCounter(dataset, ranking)
         with pytest.raises(ValueError):
-            SharedDatasetView.publish(
-                counter.ranked_codes, np.arange(7), dataset.schema
-            )
+            SharedDatasetView.publish(counter.ranked_codes[:, 0], dataset.schema)
+
+    def test_close_unlinks_the_one_segment(self):
+        from multiprocessing import shared_memory
+
+        dataset, ranking = _instance(13, 30, [2, 2])
+        counter = PatternCounter(dataset, ranking)
+        view = SharedDatasetView.publish(counter.ranked_codes, dataset.schema)
+        name = view.handle().codes_segment
+        view.close()
+        view.close()  # idempotent
+        assert view.closed
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=name)
+        with pytest.raises(OSError):
+            view.handle()
 
 
 # -- Pattern pickling across processes ----------------------------------------------
@@ -230,12 +238,10 @@ class TestPatternPickle:
 class TestExecutionConfig:
     def test_defaults_document_engine_tunables(self):
         from repro.core.engine.counting import DEFAULT_CACHE_CAPACITY
-        from repro.core.engine.masks import DEFAULT_SPARSE_THRESHOLD
 
         config = ExecutionConfig()
         assert config.workers == 1
         assert config.match_cache_capacity == DEFAULT_CACHE_CAPACITY
-        assert config.sparse_threshold == DEFAULT_SPARSE_THRESHOLD
         assert config.block_cache_capacity is None
 
     def test_validation(self):
@@ -245,8 +251,6 @@ class TestExecutionConfig:
             ExecutionConfig(match_cache_capacity=-1)
         with pytest.raises(ConfigurationError):
             ExecutionConfig(block_cache_capacity=-2)
-        with pytest.raises(ConfigurationError):
-            ExecutionConfig(sparse_threshold=-0.1)
         with pytest.raises(ConfigurationError):
             ExecutionConfig(start_method="thread")
 
@@ -305,17 +309,6 @@ class TestExecutionConfig:
         report = detector.detect(synthetic_small, synthetic_small_ranking)
         assert report.stats.cache_evictions > 0
         assert report._counter.cached_patterns <= 4
-
-    def test_sparse_threshold_reaches_engine(self, synthetic_small, synthetic_small_ranking):
-        # A threshold above 1.0 forces every cached match into sparse storage.
-        execution = ExecutionConfig(sparse_threshold=1.1)
-        detector = IterTDDetector(
-            bound=GlobalBoundSpec(lower_bounds=2.0), tau_s=2, k_min=2, k_max=10,
-            execution=execution,
-        )
-        report = detector.detect(synthetic_small, synthetic_small_ranking)
-        assert report.stats.sparse_masks > 0
-        assert report.stats.dense_masks == 0
 
     def test_facade_threads_execution_config(self, synthetic_small, synthetic_small_ranking):
         from repro.core import detect_biased_groups

@@ -52,7 +52,8 @@ from repro.core.session import AuditSession, detect_biased_groups
 from repro.core.top_down import SweepFrontier
 from repro.core.pattern import Pattern
 from repro.data.synthetic import SyntheticSpec, synthetic_dataset
-from repro.ranking.base import PrecomputedRanker
+from repro.experiments.workloads import german_credit_workload
+from repro.ranking.base import PrecomputedRanker, Ranking
 
 STEP = GlobalBoundSpec(lower_bounds=step_lower_bounds({1: 1.0, 10: 3.0, 30: 6.0}))
 FLAT = GlobalBoundSpec(lower_bounds=2.0)
@@ -118,7 +119,7 @@ class TestFrontierExtension:
         with AuditSession(dataset, ranking) as session:
             session.run(DetectionQuery(STEP, 2, 2, 20, "global_bounds"))
             session.run(DetectionQuery(STEP, 2, 5, 40, "global_bounds"))
-            fingerprint = dataset.fingerprint()
+            fingerprint = ranking.fingerprint()
             assert session.result_cache.coverage(fingerprint, group) == ((2, 40),)
             # The widened sweep now serves containment hits over the whole range.
             report = session.run(DetectionQuery(STEP, 2, 30, 40, "global_bounds"))
@@ -257,6 +258,48 @@ class TestSharedStore:
         # served result must equal dataset B's own cold run.
         assert report.stats.result_cache_misses == 1
         assert report.result == _cold(dataset_b, ranking_b, query).result
+
+    @pytest.mark.parametrize("kind", ["memory", "shared", "disk"])
+    def test_fingerprint_keying_separates_rankings_of_one_dataset(self, kind, tmp_path):
+        """Two rankings of one dataset sharing a store: the second is served by
+        its own sweep, never by the first ranking's."""
+        workload = german_credit_workload(scale=0.35)
+        dataset = workload.dataset()
+        first = workload.ranking()
+        second = Ranking(dataset, first.order[::-1])
+        query = DetectionQuery(ProportionalBoundSpec(alpha=0.8), 30, 10, 40)
+        store = {
+            "memory": InMemoryResultStore,
+            "shared": shared_result_store,
+            "disk": lambda: DiskResultStore(tmp_path),
+        }[kind]()
+        with AuditSession(dataset, first, store=store) as session:
+            served_first = session.run(query)
+        with AuditSession(dataset, second, store=store) as session:
+            report = session.run(query)
+        expected = _cold(dataset, second, query).result
+        assert expected != served_first.result  # the leak would show
+        assert report.stats.result_cache_hits == 0
+        assert report.stats.result_cache_misses == 1
+        assert report.result == expected
+
+    @pytest.mark.parametrize("kind", ["memory", "disk"])
+    def test_equal_rankings_built_apart_share_sweeps(self, kind, tmp_path):
+        """Keying by the ranking's content, not its identity: a ranking rebuilt
+        over a copy of the dataset is served from the first one's sweep."""
+        dataset, ranking = _instance(409, 48, [2, 3], 1.0)
+        copy = dataset.take(np.arange(dataset.n_rows))
+        rebuilt = Ranking(copy, ranking.order.copy())
+        query = DetectionQuery(FLAT, 2, 2, 30, "global_bounds")
+        store = InMemoryResultStore() if kind == "memory" else DiskResultStore(tmp_path)
+        with AuditSession(dataset, ranking, store=store) as session:
+            session.run(query)
+        with AuditSession(copy, rebuilt, store=store) as session:
+            report = session.run(query)
+        assert rebuilt is not ranking
+        assert report.stats.result_cache_hits == 1
+        assert report.stats.full_searches == 0
+        assert report.result == _cold(copy, rebuilt, query).result
 
 
 # -- the on-disk store ----------------------------------------------------------------
@@ -488,7 +531,7 @@ json.dump({{
         (entry,) = list(tmp_path.glob("*.json"))
         # Forge dataset B's digest for dataset A's payload.
         digest_b = DiskResultStore._digest(
-            dataset_b.fingerprint(), query_group_key(query)
+            ranking_b.fingerprint(), query_group_key(query)
         )
         entry.rename(tmp_path / f"{digest_b}_2_30.json")
         fresh = DiskResultStore(tmp_path)
@@ -602,7 +645,7 @@ class TestDiskStoreHygiene:
             session.run(query_c)
         assert len(store) == 2
         assert store.evictions == 1
-        fingerprint = dataset.fingerprint()
+        fingerprint = ranking.fingerprint()
         assert store.coverage(fingerprint, query_group_key(query_a)) != ()
         assert store.coverage(fingerprint, query_group_key(query_b)) == ()
         assert store.coverage(fingerprint, query_group_key(query_c)) != ()

@@ -192,9 +192,8 @@ class TestShardedExecutorDirect:
         segment = shared_memory.SharedMemory(name=handle.codes_segment)
         segment.close()
         executor.close()
-        for name in (handle.codes_segment, handle.order_segment):
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=handle.codes_segment)
 
 
 # -- detector-level parity under the forkserver start method ---------------------------
@@ -264,6 +263,5 @@ class TestShardedSession:
         with AuditSession(dataset, ranking, execution=SHARDED) as session:
             session.run(DetectionQuery(FLAT, 2, 2, 40))
             handle = session._executor._handle
-        for name in (handle.codes_segment, handle.order_segment):
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=handle.codes_segment)

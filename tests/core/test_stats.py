@@ -128,8 +128,8 @@ def test_every_engine_counter_reaches_the_report():
     )
     dataset = synthetic_dataset(spec)
     ranking = PrecomputedRanker(score_column="score").rank(dataset)
-    # A tiny match cache keeps matches being rebuilt (dense, sparse and switch
-    # counts, evictions); a larger block cache lets the warm query reuse blocks.
+    # A tiny match cache keeps matches being rebuilt and evicted; a larger block
+    # cache lets the warm query reuse blocks.
     config = ExecutionConfig(match_cache_capacity=4, block_cache_capacity=15)
     with AuditSession(dataset, ranking, execution=config) as session:
         session.run(DetectionQuery(GlobalBoundSpec(lower_bounds=3.0), 4, 5, 30, "iter_td"))
@@ -143,3 +143,41 @@ def test_every_engine_counter_reaches_the_report():
     for name, value in delta.items():
         published = getattr(stats, name) if name in COUNTER_TYPES else stats.extra[name]
         assert published == value, name
+
+
+#: Engine counters that reports saved before the engine kept one match
+#: representation still carry; they are no longer fields.
+RETIRED_COUNTERS = ["dense_masks", "sparse_masks", "representation_switches"]
+
+
+@pytest.mark.parametrize("name", RETIRED_COUNTERS)
+class TestRetiredCountersLoadIntoExtra:
+    """A retired counter takes every path a report takes as a free-form counter
+    in ``extra``, never as a field."""
+
+    def test_as_dict_json_stats_from_dict(self, name):
+        payload = json.loads(json.dumps({**SearchStats(nodes_evaluated=5).as_dict(), name: 3}))
+        loaded = stats_from_dict(payload)
+        assert name not in COUNTER_TYPES
+        assert loaded.extra == {name: 3}
+        assert loaded.nodes_evaluated == 5
+        assert json.loads(json.dumps(loaded.as_dict()))[name] == 3
+
+    def test_save_result_load_report(self, name, toy_dataset, toy_ranking, tmp_path):
+        report = IterTDDetector(GlobalBoundSpec(lower_bounds=2.0), 2, 4, 6).detect(
+            toy_dataset, toy_ranking
+        )
+        path = tmp_path / "report.json"
+        save_result(report, path)
+        payload = json.loads(path.read_text())
+        payload["stats"][name] = 4
+        path.write_text(json.dumps(payload))
+        loaded = load_report(path).stats
+        assert loaded.extra == {**report.stats.extra, name: 4}
+        assert loaded.nodes_evaluated == report.stats.nodes_evaluated
+
+    def test_absorb_sums(self, name):
+        loaded = stats_from_dict({name: 3})
+        merged = loaded.copy().absorb(stats_from_dict({name: 4, "nodes_evaluated": 1}))
+        assert merged.extra == {name: 7}
+        assert merged.nodes_evaluated == 1

@@ -67,6 +67,18 @@ class TestRanking:
         ranked = ranking.ranked_dataset()
         assert list(ranked.numeric_column("score")) == [4.0, 3.0, 2.0, 1.0]
 
+    def test_fingerprint_covers_dataset_and_order(self, dataset):
+        ranking = Ranking(dataset, [1, 3, 2, 0])
+        first = ranking.fingerprint()
+        assert ranking.fingerprint() is first  # cached
+        assert Ranking(dataset.take(np.arange(4)), [1, 3, 2, 0]).fingerprint() == first
+        assert Ranking(dataset, [0, 2, 3, 1]).fingerprint() != first
+        assert first != dataset.fingerprint()
+        other = Dataset.from_columns(
+            {"color": ["r", "g", "b", "g"]}, numeric={"score": [1.0, 4.0, 2.0, 3.0]}
+        )
+        assert Ranking(other, [1, 3, 2, 0]).fingerprint() != first
+
 
 class TestStableOrder:
     def test_descending_with_stable_ties(self):

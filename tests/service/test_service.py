@@ -306,6 +306,29 @@ class TestStoreAndPoolLifecycle:
             after = service.run("alice", "census/r", queries)
             assert [r.result for r in after] == _oracle(dataset, ascending, queries)
 
+    def test_services_sharing_a_namespace_keep_rankings_apart(self):
+        """Two services with the default namespace share the named store of a
+        key; where the key names a different ranking of one dataset in each,
+        each service serves its own ranking's results."""
+        dataset, _ = _instance(31)
+        descending = PrecomputedRanker(score_column="score").rank(dataset)
+        ascending = PrecomputedRanker(score_column="score", descending=False).rank(dataset)
+        queries = _queries()
+        expected = _oracle(dataset, ascending, queries)
+        assert expected != _oracle(dataset, descending, queries)  # a leak would show
+        with _service() as first, _service() as second:
+            first.register_dataset("census", dataset)
+            first.register_ranking("census", "r", descending)
+            second.register_dataset("census", dataset)
+            second.register_ranking("census", "r", ascending)
+            first.run("alice", "census/r", queries)
+            assert shared_result_store_names() == ("audit-service:census/r",)
+            served = second.run("alice", "census/r", queries)
+        assert [r.result for r in served] == expected
+        assert all(r.stats.result_cache_hits == 0 for r in served)
+        first.pool.assert_all_closed()
+        second.pool.assert_all_closed()
+
     def test_replacing_a_dataset_drops_dependent_sessions(self):
         d1, r1 = _instance(31)
         d2, _ = _instance(37)
